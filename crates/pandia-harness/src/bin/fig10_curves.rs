@@ -1,8 +1,9 @@
 //! Figure 10: measured vs predicted performance for every workload on the
 //! X5-2 (Figure 1 covers MD; this binary regenerates all 22 curves).
 //!
-//! `cargo run --release -p pandia-harness --bin fig10_curves [--quick]
-//! [--jobs N] [--no-cache] [--naive-sim] [machine]`
+//! `cargo run --release -p pandia-harness --bin fig10_curves -- [--quick]
+//! [--jobs N] [--no-cache] [--naive-sim] [--quiet] [--trace-out FILE]
+//! [--metrics-out FILE] [--events-out FILE] [--trace-buffer SPANS] [machine]`
 //!
 //! With `--events-out FILE` the span-event stream is appended after each
 //! workload, so a long sweep is watchable in flight (`tail -f`); pair a
@@ -10,10 +11,8 @@
 //! the sweep records more than the default 2^18 spans.
 //!
 //! `--naive-sim` disables the simulator's incremental fast path (solve
-//! reuse + steady-segment coalescing) so CI can assert both engine paths
-//! emit byte-identical results. `--legacy-soa` likewise falls back to the
-//! per-entity-struct segment walk so the structure-of-arrays hot path can
-//! be `cmp`'d against its reference on the full sweep.
+//! reuse, segment coalescing, structure skip) so CI can assert the fast
+//! path and the naive loop emit byte-identical results.
 
 use std::time::Instant;
 
@@ -32,17 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let coverage = Coverage::from_args();
     let exec = exec_from_args();
     let naive = std::env::args().any(|a| a == "--naive-sim");
-    let legacy_soa = std::env::args().any(|a| a == "--legacy-soa");
     let machine = positional_args().into_iter().next().unwrap_or_else(|| "x5-2".into());
     let mut ctx = MachineContext::by_name(&machine)?;
-    if naive || legacy_soa {
-        let mut config = SimConfig::default();
-        if naive {
-            config = config.with_incremental(false);
-        }
-        if legacy_soa {
-            config = config.with_soa(false);
-        }
+    if naive {
+        let config = SimConfig::default().with_incremental(false);
         ctx.platform = SimMachine::with_config(ctx.spec.clone(), config);
     }
     let placements = coverage.placements(&ctx);

@@ -28,7 +28,7 @@ use pandia_topology::{
 
 use crate::{
     behavior::Behavior,
-    cache::{spill_fraction, SocketSpill},
+    cache::spill_fraction,
     dvfs::DvfsState,
     equilibrium::{self, EntityDemand},
     fault::{FaultPlan, SimError},
@@ -61,25 +61,23 @@ pub struct EngineConfig {
     /// Deterministic fault-injection schedule. The default plan injects
     /// nothing and is byte-identical to an engine without the fault layer.
     pub faults: FaultPlan,
-    /// Enables the incremental fast path: equilibrium solves are answered
-    /// from the previous segment's allocation when the inputs are bitwise
-    /// unchanged (or warm-started when exactly one entity finished), and
-    /// segments whose full input triple — runnable set, burst multipliers,
-    /// relaxation warm start — recurs bit-for-bit are replayed from a memo
-    /// instead of recomputed (a fault plan disables replay). Both
-    /// shortcuts are bit-identical to the naive loop; this switch exists
-    /// so tests can run both and assert equivalence.
+    /// Enables the incremental fast path. Three shortcuts:
+    ///
+    /// * equilibrium solves reuse the previous solve's work when the
+    ///   inputs are bitwise unchanged or share a leading prefix;
+    /// * segments whose full input triple — runnable set, burst
+    ///   multipliers, relaxation warm start — recurs bit-for-bit are
+    ///   replayed from a memo instead of recomputed (a fault plan
+    ///   disables replay);
+    /// * a segment whose runnable set and multipliers match the previous
+    ///   fully computed one skips its structure prologue (DVFS, spill,
+    ///   interference, capacities, demand bundles).
+    ///
+    /// All three are bit-identical to the naive loop. With the switch off
+    /// the engine is that loop: every segment recomputes its prologue and
+    /// solves from scratch with [`equilibrium::solve`], so tests can run
+    /// both and assert equivalence.
     pub incremental: bool,
-    /// Enables the structure-of-arrays segment middle: the per-entity
-    /// fields the hot path reads are laid out as contiguous per-field
-    /// arrays built once per run, and every per-segment working buffer
-    /// (occupancy, spill, interference, demand bundles, relaxation state)
-    /// is reused across segments instead of reallocated. The arithmetic —
-    /// every operand, in the same order — is identical to the legacy
-    /// per-entity-struct walk, so results are bit-identical; this switch
-    /// exists so the differential oracle suite can run both layouts and
-    /// assert equivalence.
-    pub soa: bool,
 }
 
 impl Default for EngineConfig {
@@ -93,7 +91,6 @@ impl Default for EngineConfig {
             max_segments: 20_000,
             faults: FaultPlan::none(),
             incremental: true,
-            soa: true,
         }
     }
 }
@@ -132,12 +129,6 @@ struct CachedSegment {
     spill_frac_socket: Vec<f64>,
 }
 
-/// 128-bit fingerprint of a memo key: two independent FNV-1a chains over
-/// the words (the second pre-rotates each word so the chains never
-/// collide together). One multiply per word per chain — this runs on
-/// every segment, hit or miss, so it is the hot edge of the memo. It
-/// only has to make collisions rare, not impossible — exactness comes
-/// from the full-key verification on every probe.
 /// Pass-through hasher for the segment memo: the map key *is* a 128-bit
 /// fingerprint, already uniformly distributed, so rehashing it per probe
 /// would be pure overhead. The two words are folded with a rotate so both
@@ -160,6 +151,12 @@ impl Hasher for FpHasher {
     }
 }
 
+/// 128-bit fingerprint of a memo key: two independent FNV-1a chains over
+/// the words (the second pre-rotates each word so the chains never
+/// collide together). One multiply per word per chain — this runs on
+/// every segment, hit or miss, so it is the hot edge of the memo. It
+/// only has to make collisions rare, not impossible — exactness comes
+/// from the full-key verification on every probe.
 fn seg_fingerprint(words: &[u64]) -> (u64, u64) {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut a = 0xCBF2_9CE4_8422_2325_u64;
@@ -387,10 +384,6 @@ struct SoaEntities {
     group: Vec<usize>,
     core: Vec<usize>,
     socket: Vec<usize>,
-    /// `socket_of_core(core)` per entity: the socket whose DVFS scale
-    /// applies (kept separate from `socket` so the SoA path matches
-    /// `DvfsState::scale_for_core` exactly on any topology).
-    dvfs_socket: Vec<usize>,
     working_set_mib: Vec<f64>,
     seq_fraction: Vec<f64>,
     comm_factor: Vec<f64>,
@@ -430,7 +423,6 @@ impl SoaEntities {
             group: Vec::with_capacity(entities.len()),
             core: Vec::with_capacity(entities.len()),
             socket: Vec::with_capacity(entities.len()),
-            dvfs_socket: Vec::with_capacity(entities.len()),
             working_set_mib: Vec::with_capacity(entities.len()),
             seq_fraction: Vec::with_capacity(entities.len()),
             comm_factor: Vec::with_capacity(entities.len()),
@@ -463,7 +455,6 @@ impl SoaEntities {
             soa.group.push(e.group);
             soa.core.push(e.core.0);
             soa.socket.push(e.socket.0);
-            soa.dvfs_socket.push(spec.socket_of_core(e.core).0);
             soa.working_set_mib.push(e.behavior.working_set_mib);
             soa.seq_fraction.push(e.behavior.seq_fraction);
             soa.comm_factor.push(e.behavior.comm_factor);
@@ -524,8 +515,7 @@ struct SegScratch {
     dvfs: DvfsState,
 }
 
-/// Sparse-demand push with the same positivity gate as the legacy
-/// closure: zero-demand terms never enter the bundle.
+/// Sparse-demand push: zero-demand terms never enter the bundle.
 fn push_demand(v: &mut Vec<(usize, f64)>, id: usize, amt: f64) {
     if amt > 0.0 {
         v.push((id, amt));
@@ -623,8 +613,8 @@ fn run_multi_impl(
     let mut solver = equilibrium::IncrementalSolver::new();
     let mut stats = SimStats::default();
     // SoA image of the entity constants plus reusable per-segment
-    // buffers. Built once per run; the legacy path carries neither.
-    let soa = if config.soa { Some(SoaEntities::build(&entities, spec, &table)) } else { None };
+    // buffers, built once per run.
+    let soa = SoaEntities::build(&entities, spec, &table);
     let mut seg_scratch = SegScratch::default();
 
     // Segment coalescer. The expensive middle of a segment (DVFS, spill,
@@ -769,594 +759,321 @@ fn run_multi_impl(
         };
 
         let mut full_middle = || -> CachedSegment {
-            if let Some(soa) = soa.as_ref() {
-                let scratch = &mut seg_scratch;
+            let scratch = &mut seg_scratch;
 
-                // Everything between here and the relaxation rounds is a
-                // pure function of (runnable set, multipliers): DVFS,
-                // spill, interference, capacities, and the demand bundles
-                // never read the relaxation warm start. When both match
-                // the previous *fully computed* middle bit for bit, those
-                // buffers still hold exactly the values a recompute would
-                // produce (memo replays touch none of them), so the whole
-                // prologue is skipped and only the rounds — whose warm
-                // start did change — run. This is the common shape of a
-                // memo miss: a steady structure whose rates are still
-                // converging.
-                let runnable_same = scratch.structure_valid && scratch.prev_runnable == runnable;
-                let structure_same = runnable_same
-                    && scratch
-                        .prev_multipliers
-                        .iter()
-                        .zip(&multipliers)
-                        .all(|(&p, m)| p == m.to_bits());
-                let nk = runnable.len();
-                // With the runnable set unchanged, the solver's longest
-                // compatible prefix is known without walking the demand
-                // bundles: a bundle moves exactly when its entity's
-                // multiplier bits moved AND the bundle carries
-                // multiplier-scaled entries (the lock term is unscaled,
-                // and the spill inputs are fixed by the runnable set).
-                // The old bundles still sit in `demands`; a positive old
-                // multiplier shows the scaled sparsity directly, while an
-                // exactly-0.0 low phase hides it — then the build's own
-                // positivity gates answer from the per-entity constants.
-                // Captured before the snapshot below overwrites the
-                // previous middle's bits.
-                let prefix_hint = if runnable_same && !structure_same {
-                    Some(
-                        (0..nk)
-                            .find(|&k| {
-                                if scratch.prev_multipliers[k] == multipliers[k].to_bits() {
-                                    return false;
-                                }
-                                let i = runnable[k];
-                                let lock = soa.is_worker[i] && soa.seq_fraction[i] > 0.0;
-                                if f64::from_bits(scratch.prev_multipliers[k]) > 0.0 {
-                                    demands[k].demands.len() > lock as usize
-                                } else {
-                                    soa.d_instr[i] > 0.0
-                                        || soa.d_l1[i] > 0.0
-                                        || soa.d_l2[i] > 0.0
-                                        || soa.d_l3[i] > 0.0
-                                        || (soa.d_dram[i] > 0.0
-                                            && (0..spec.sockets).any(|node| {
-                                                soa.dram_split[i * spec.sockets + node] > 0.0
-                                            }))
-                                }
-                            })
-                            .unwrap_or(nk),
-                    )
-                } else {
-                    None
-                };
-                if !structure_same {
-                    // DVFS point from the cores that are actually busy.
-                    scratch.core_occupancy.clear();
-                    scratch.core_occupancy.resize(spec.total_cores(), 0);
-                    for &i in &runnable {
-                        scratch.core_occupancy[soa.core[i]] += 1;
+            // Everything between here and the relaxation rounds is a
+            // pure function of (runnable set, multipliers): DVFS,
+            // spill, interference, capacities, and the demand bundles
+            // never read the relaxation warm start. When both match
+            // the previous *fully computed* middle bit for bit, those
+            // buffers still hold exactly the values a recompute would
+            // produce (memo replays touch none of them), so the whole
+            // prologue is skipped and only the rounds — whose warm
+            // start did change — run. This is the common shape of a
+            // memo miss: a steady structure whose rates are still
+            // converging. The naive loop never skips, so comparing the
+            // two modes checks the skip.
+            let structure_same = config.incremental
+                && scratch.structure_valid
+                && scratch.prev_runnable == runnable
+                && scratch
+                    .prev_multipliers
+                    .iter()
+                    .zip(&multipliers)
+                    .all(|(&p, m)| p == m.to_bits());
+            let nk = runnable.len();
+            if !structure_same {
+                // DVFS point from the cores that are actually busy.
+                scratch.core_occupancy.clear();
+                scratch.core_occupancy.resize(spec.total_cores(), 0);
+                for &i in &runnable {
+                    scratch.core_occupancy[soa.core[i]] += 1;
+                }
+                scratch.active_cores.clear();
+                scratch.active_cores.resize(spec.sockets, 0);
+                for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
+                    if occ > 0 {
+                        scratch.active_cores[soa.core_home[c]] += 1;
                     }
-                    scratch.active_cores.clear();
-                    scratch.active_cores.resize(spec.sockets, 0);
-                    for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
-                        if occ > 0 {
-                            scratch.active_cores[soa.core_home[c]] += 1;
-                        }
-                    }
-                    scratch.dvfs.compute_into(
-                        spec,
-                        &scratch.active_cores,
-                        inputs.turbo,
-                        inputs.fill_background,
-                    );
+                }
+                scratch.dvfs.compute_into(
+                    spec,
+                    &scratch.active_cores,
+                    inputs.turbo,
+                    inputs.fill_background,
+                );
 
-                    // Cache spill per socket from resident working sets, with
-                    // the non-adaptive thrash amplification folded in. Same
-                    // two-factor product per socket as the legacy path.
-                    scratch.socket_ws.clear();
-                    scratch.socket_ws.resize(spec.sockets, 0.0);
-                    scratch.socket_residents.clear();
-                    scratch.socket_residents.resize(spec.sockets, 0);
-                    for &i in &runnable {
-                        scratch.socket_ws[soa.socket[i]] += soa.working_set_mib[i];
-                        scratch.socket_residents[soa.socket[i]] += 1;
-                    }
-                    scratch.spill_frac_socket.clear();
-                    for s in 0..spec.sockets {
-                        let spill =
-                            spill_fraction(scratch.socket_ws[s], spec.l3_mib, spec.adaptive_llc);
-                        let thrash = if spec.adaptive_llc {
-                            1.0
-                        } else {
-                            1.0 + 0.35 * scratch.socket_residents[s].saturating_sub(1) as f64
-                                / spec.cores_per_socket as f64
-                        };
-                        scratch.spill_frac_socket.push(spill * thrash);
-                    }
+                // Cache spill per socket from resident working sets.
+                // Non-adaptive caches additionally thrash under many
+                // concurrent streams: spilled traffic is amplified with
+                // socket occupancy (conflict misses and dead-block
+                // re-fetches). Adaptive insertion policies suppress this
+                // — the paper's §2.2/§6.2 contrast.
+                scratch.socket_ws.clear();
+                scratch.socket_ws.resize(spec.sockets, 0.0);
+                scratch.socket_residents.clear();
+                scratch.socket_residents.resize(spec.sockets, 0);
+                for &i in &runnable {
+                    scratch.socket_ws[soa.socket[i]] += soa.working_set_mib[i];
+                    scratch.socket_residents[soa.socket[i]] += 1;
+                }
+                scratch.spill_frac_socket.clear();
+                for s in 0..spec.sockets {
+                    let spill =
+                        spill_fraction(scratch.socket_ws[s], spec.l3_mib, spec.adaptive_llc);
+                    let thrash = if spec.adaptive_llc {
+                        1.0
+                    } else {
+                        1.0 + 0.35 * scratch.socket_residents[s].saturating_sub(1) as f64
+                            / spec.cores_per_socket as f64
+                    };
+                    scratch.spill_frac_socket.push(spill * thrash);
+                }
 
-                    // Latency interference from co-resident bursting peers.
-                    // Grouping the runnable set by core turns the all-pairs
-                    // scan into per-core pair walks — only SMT-shared cores
-                    // produce interference, and within a core the member
-                    // list preserves ascending runnable order, so each
-                    // thread accumulates the same additions in the same
-                    // sequence as the legacy all-pairs loop.
-                    scratch.interference.clear();
-                    scratch.interference.resize(runnable.len(), 0.0);
-                    if spec.smt_burst_collision > 0.0 {
-                        scratch.core_members.resize_with(spec.total_cores(), Vec::new);
-                        for list in &mut scratch.core_members {
-                            list.clear();
-                        }
-                        for (k, &i) in runnable.iter().enumerate() {
-                            scratch.core_members[soa.core[i]].push(k);
-                        }
-                        for members in &scratch.core_members {
-                            if members.len() < 2 {
-                                continue;
-                            }
-                            for &k in members {
-                                for &k2 in members {
-                                    if k2 != k {
-                                        scratch.interference[k] += (multipliers[k2] - 1.0).max(0.0)
-                                            * spec.smt_burst_collision;
-                                    }
-                                }
-                            }
-                        }
-                    }
-
-                    // Capacities for this segment: one memcpy of the nominal
-                    // table, then DVFS/SMT scaling of occupied cores only. An
-                    // idle core's pools carry no demand this segment, so
-                    // leaving them nominal cannot move the solve.
-                    capacities[..soa.base_caps.len()].copy_from_slice(&soa.base_caps);
-                    for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
-                        if occ == 0 {
-                            continue;
-                        }
-                        let scale = scratch.dvfs.socket_scale[soa.core_home[c]];
-                        let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
-                        let issue = table.core_issue(CoreId(c));
-                        capacities[issue.0] = table.get(issue).capacity * scale * smt;
-                        let l1 = table.l1(CoreId(c));
-                        capacities[l1.0] = table.get(l1).capacity * scale;
-                        let l2 = table.l2(CoreId(c));
-                        capacities[l2.0] = table.get(l2).capacity * scale;
-                    }
-                    for g in 0..n_groups {
-                        capacities[lock_base + g] = 1.0;
-                    }
-
-                    // Build demand bundles (burst- and spill-adjusted) into
-                    // reused slots: the sparse buffers from previous segments
-                    // are cleared and refilled, never reallocated.
-                    demands.truncate(runnable.len());
-                    scratch.instr_demands.clear();
-                    for (k, &i) in runnable.iter().enumerate() {
-                        let m = multipliers[k];
-                        let spill_frac = scratch.spill_frac_socket[soa.socket[i]];
-                        let extra_dram = soa.d_l3[i] * spill_frac;
-                        if k == demands.len() {
-                            // lint: allow(H2): first-touch slot growth; every later segment reuses the slot's buffer
-                            demands.push(EntityDemand { demands: Vec::with_capacity(10), max_rate: 1.0 });
-                        }
-                        let slot = &mut demands[k];
-                        slot.max_rate = 1.0;
-                        let sparse = &mut slot.demands;
-                        sparse.clear();
-                        push_demand(sparse, soa.res_issue[i], soa.d_instr[i] * m);
-                        push_demand(sparse, soa.res_l1[i], soa.d_l1[i] * m);
-                        push_demand(sparse, soa.res_l2[i], soa.d_l2[i] * m);
-                        if soa.d_l3[i] > 0.0 {
-                            push_demand(sparse, soa.res_l3_link[i], soa.d_l3[i] * m);
-                            push_demand(sparse, soa.res_l3_agg[i], soa.d_l3[i] * m);
-                        }
-                        let dram_total = (soa.d_dram[i] + extra_dram) * m;
-                        if dram_total > 0.0 {
-                            for node in 0..spec.sockets {
-                                let frac = soa.dram_split[i * spec.sockets + node];
-                                if frac <= 0.0 {
-                                    continue;
-                                }
-                                push_demand(sparse, soa.res_dram[node], dram_total * frac);
-                                if node != soa.socket[i] {
-                                    if let Some(link) = soa.res_link[soa.socket[i] * spec.sockets + node]
-                                    {
-                                        push_demand(sparse, link, dram_total * frac);
-                                    }
-                                }
-                            }
-                        }
-                        if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
-                            sparse.push((lock_base + soa.group[i], soa.seq_fraction[i]));
-                        }
-                        scratch.instr_demands.push(soa.d_instr[i] * m);
-                    }
-
-                    // Communication constants per runnable thread, hoisted out
-                    // of the relaxation rounds: the `comm_factor · latency`
-                    // products are fixed for the segment (two per thread, for
-                    // same- and cross-socket peers — the same two multiplies
-                    // the per-pair form performs, in the same order), and the
-                    // same-group worker lists bound each thread's peer scan to
-                    // its actual peers in ascending runnable order.
-                    scratch.cf_lat_intra.clear();
-                    scratch.cf_lat_cross.clear();
-                    for &i in &runnable {
-                        let cf = soa.comm_factor[i];
-                        scratch
-                            .cf_lat_intra
-                            .push(cf * (soa.intra_socket_comm[i] * spec.interconnect_latency));
-                        scratch.cf_lat_cross.push(cf * (1.0 * spec.interconnect_latency));
-                    }
-                    scratch.group_members.resize_with(n_groups, Vec::new);
-                    for list in &mut scratch.group_members {
+                // Latency interference from co-resident bursting peers,
+                // walked per core: only SMT-shared cores produce
+                // interference, and within a core the member list keeps
+                // ascending runnable order, so each thread accumulates
+                // its siblings' terms in runnable order.
+                scratch.interference.clear();
+                scratch.interference.resize(runnable.len(), 0.0);
+                if spec.smt_burst_collision > 0.0 {
+                    scratch.core_members.resize_with(spec.total_cores(), Vec::new);
+                    for list in &mut scratch.core_members {
                         list.clear();
                     }
                     for (k, &i) in runnable.iter().enumerate() {
-                        if soa.is_worker[i] {
-                            scratch.group_members[soa.group[i]].push(k);
-                        }
+                        scratch.core_members[soa.core[i]].push(k);
                     }
-
-                    // Snapshot the structural inputs so the next full middle
-                    // can recognise an unchanged prologue.
-                    scratch.prev_runnable.clear();
-                    scratch.prev_runnable.extend_from_slice(&runnable);
-                    scratch.prev_multipliers.clear();
-                    scratch.prev_multipliers.extend(multipliers.iter().map(|m| m.to_bits()));
-                    scratch.structure_valid = true;
-                }
-
-                // Relaxation rounds: lock queueing + communication latency
-                // feed back into intrinsic rates. The round buffers live
-                // in the scratch; the solver's result is copied out, so a
-                // steady segment stream performs no per-round allocation.
-                scratch.round_rates.clear();
-                scratch.round_rates.extend(runnable.iter().map(|&i| prev_rates[i]));
-                scratch.last_loads.clear();
-                for round in 0..config.relaxation_rounds {
-                    scratch.rho.clear();
-                    scratch.rho.resize(n_groups, 0.0);
-                    for (k, &i) in runnable.iter().enumerate() {
-                        if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
-                            scratch.rho[soa.group[i]] +=
-                                scratch.round_rates[k] * soa.seq_fraction[i];
-                        }
-                    }
-                    scratch.queue_delay.clear();
-                    scratch.queue_delay.extend(scratch.rho.iter().map(|&r| {
-                        let r = r.min(config.max_lock_rho);
-                        r / (1.0 - r)
-                    }));
-
-                    // Peer weights cached per (socket, peer): the weight
-                    // divides the peer's round rate by the *observer's*
-                    // socket scale, of which there are only `sockets`
-                    // distinct values — so the divisions drop from one
-                    // per pair to one per (socket, peer). Same
-                    // expression, same bits.
-                    scratch.peer_weight.clear();
-                    scratch.peer_weight.resize(spec.sockets * nk, 0.0);
-                    for s in 0..spec.sockets {
-                        let scale = scratch.dvfs.socket_scale[s];
-                        let row = &mut scratch.peer_weight[s * nk..(s + 1) * nk];
-                        for (k2, slot) in row.iter_mut().enumerate() {
-                            *slot = (scratch.round_rates[k2] / scale.max(1e-9)).min(1.0);
-                        }
-                    }
-
-                    for (k, &i) in runnable.iter().enumerate() {
-                        let scale = scratch.dvfs.socket_scale[soa.dvfs_socket[i]];
-                        let max_rate = if soa.is_worker[i] {
-                            let mut comm = 0.0;
-                            if soa.comm_factor[i] > 0.0 {
-                                let base = soa.dvfs_socket[i] * nk;
-                                for &k2 in &scratch.group_members[soa.group[i]] {
-                                    if k2 == k {
-                                        continue;
-                                    }
-                                    let j = runnable[k2];
-                                    let cf_lat = if soa.socket[j] == soa.socket[i] {
-                                        scratch.cf_lat_intra[k]
-                                    } else {
-                                        scratch.cf_lat_cross[k]
-                                    };
-                                    comm += cf_lat * scratch.peer_weight[base + k2];
-                                }
-                            }
-                            let queue = soa.seq_fraction[i] * scratch.queue_delay[soa.group[i]];
-                            scale / (1.0 + queue + comm + scratch.interference[k])
-                        } else {
-                            scale / (1.0 + scratch.interference[k])
-                        };
-                        let max_rate = if scratch.instr_demands[k] > 0.0 {
-                            let ilp_cap = spec.single_thread_ilp * spec.core_ipc_rate * scale
-                                / scratch.instr_demands[k];
-                            max_rate.min(ilp_cap)
-                        } else {
-                            max_rate
-                        };
-                        demands[k].max_rate = max_rate;
-                    }
-                    if config.incremental {
-                        // Round 0 re-primes the solver on this segment's
-                        // demand bundles; later rounds rewrite only the
-                        // rate caps, so the prefix walk's outcome is
-                        // known and skipped. An unchanged structure
-                        // extends that to round 0 too: the solver's last
-                        // call already holds these exact bundles.
-                        let alloc = if round == 0 && !structure_same {
-                            match prefix_hint {
-                                Some(lcp) => {
-                                    solver.solve_with_prefix_hint(&demands, &capacities, lcp)
-                                }
-                                None => solver.solve(&demands, &capacities),
-                            }
-                        } else {
-                            solver.solve_same_demands(&demands, &capacities)
-                        };
-                        scratch.round_rates.clear();
-                        scratch.round_rates.extend_from_slice(&alloc.rates);
-                        scratch.last_loads.clear();
-                        scratch.last_loads.extend_from_slice(&alloc.loads);
-                    } else {
-                        stats.solves += 1;
-                        let alloc = equilibrium::solve(&demands, &capacities);
-                        scratch.round_rates.clear();
-                        scratch.round_rates.extend_from_slice(&alloc.rates);
-                        scratch.last_loads.clear();
-                        scratch.last_loads.extend_from_slice(&alloc.loads);
-                    }
-                }
-
-                let mut group_rate = vec![0.0_f64; n_groups];
-                for (k, &i) in runnable.iter().enumerate() {
-                    if soa.is_worker[i] {
-                        group_rate[soa.group[i]] += scratch.round_rates[k];
-                    }
-                }
-
-                let hottest = if trace.is_some() {
-                    // Hottest *hardware* resource this segment (locks excluded).
-                    scratch
-                        .last_loads
-                        .iter()
-                        .take(table.len())
-                        .enumerate()
-                        .map(|(r, &load)| (r, load / capacities[r].max(1e-12)))
-                        .max_by(|a, b| a.1.total_cmp(&b.1))
-                        .filter(|&(_, util)| util > 0.0)
-                        .map(|(r, util)| {
-                            (table.get(pandia_topology::ResourceId(r)).kind, util.min(1.0))
-                        })
-                } else {
-                    None
-                };
-
-                return CachedSegment {
-                    // lint: allow(H2): the cache entry must own its key
-                    key: seg_key.clone(),
-                    // lint: allow(H2): the cache entry owns its rates; the scratch buffer is reused next segment
-                    rates: scratch.round_rates.clone(),
-                    group_rate,
-                    hottest,
-                    // lint: allow(H2): the cache entry owns its outputs; the scratch buffer is reused next segment
-                    spill_frac_socket: scratch.spill_frac_socket.clone(),
-                };
-            }
-
-            // Legacy per-entity-struct walk: the reference path of the
-            // differential oracle suite (`SimConfig::with_soa(false)`),
-            // kept verbatim so equivalence failures bisect cleanly.
-            // DVFS point from the cores that are actually busy.
-            let mut active_cores = vec![0usize; spec.sockets];
-            let mut core_occupancy = vec![0u32; spec.total_cores()];
-            for &i in &runnable {
-                core_occupancy[entities[i].core.0] += 1;
-            }
-            for (c, &occ) in core_occupancy.iter().enumerate() {
-                if occ > 0 {
-                    active_cores[spec.socket_of_core(CoreId(c)).0] += 1;
-                }
-            }
-            let dvfs =
-                DvfsState::compute(spec, &active_cores, inputs.turbo, inputs.fill_background);
-
-            // Cache spill per socket from resident working sets.
-            let mut socket_ws = vec![0.0_f64; spec.sockets];
-            let mut socket_residents = vec![0usize; spec.sockets];
-            for &i in &runnable {
-                socket_ws[entities[i].socket.0] += entities[i].behavior.working_set_mib;
-                socket_residents[entities[i].socket.0] += 1;
-            }
-            let spill = SocketSpill::compute(&socket_ws, spec.l3_mib, spec.adaptive_llc);
-            // Non-adaptive caches additionally thrash under many concurrent
-            // streams: spilled traffic is amplified with socket occupancy
-            // (conflict misses and dead-block re-fetches). Adaptive insertion
-            // policies suppress this — the paper's §2.2/§6.2 contrast.
-            let thrash: Vec<f64> = socket_residents
-                .iter()
-                .map(|&r| {
-                    if spec.adaptive_llc {
-                        1.0
-                    } else {
-                        1.0 + 0.35 * r.saturating_sub(1) as f64 / spec.cores_per_socket as f64
-                    }
-                })
-                .collect();
-            let spill_frac_socket: Vec<f64> = spill
-                .per_socket
-                .iter()
-                .zip(&thrash)
-                .map(|(&s, &t)| s * t)
-                .collect();
-
-            // Latency interference from co-resident bursting peers.
-            let mut interference = vec![0.0_f64; runnable.len()];
-            if spec.smt_burst_collision > 0.0 {
-                for (k, &i) in runnable.iter().enumerate() {
-                    for (k2, &j) in runnable.iter().enumerate() {
-                        if k2 != k && entities[j].core == entities[i].core {
-                            interference[k] +=
-                                (multipliers[k2] - 1.0).max(0.0) * spec.smt_burst_collision;
-                        }
-                    }
-                }
-            }
-
-            // Capacities for this segment: frequency-scaled core-side entries,
-            // SMT front-end factor on shared cores, plus the per-group locks.
-            for (slot, res) in capacities.iter_mut().zip(table.resources()) {
-                *slot = res.capacity;
-            }
-            for (c, &occ) in core_occupancy.iter().enumerate() {
-                let scale = dvfs.scale_for_core(spec, CoreId(c));
-                let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
-                let issue = table.core_issue(CoreId(c));
-                capacities[issue.0] = table.get(issue).capacity * scale * smt;
-                let l1 = table.l1(CoreId(c));
-                capacities[l1.0] = table.get(l1).capacity * scale;
-                let l2 = table.l2(CoreId(c));
-                capacities[l2.0] = table.get(l2).capacity * scale;
-            }
-            for g in 0..n_groups {
-                capacities[lock_base + g] = 1.0;
-            }
-
-            // Build demand bundles (burst- and spill-adjusted).
-            demands.clear();
-            let mut instr_demands: Vec<f64> = Vec::with_capacity(runnable.len());
-            for (k, &i) in runnable.iter().enumerate() {
-                let e = &entities[i];
-                let m = multipliers[k];
-                let d = e.behavior.demand;
-                let spill_frac = spill_frac_socket[e.socket.0];
-                let extra_dram = d.l3 * spill_frac;
-                let mut sparse: Vec<(usize, f64)> = Vec::with_capacity(10);
-                let push =
-                    |v: &mut Vec<(usize, f64)>, id: pandia_topology::ResourceId, amt: f64| {
-                        if amt > 0.0 {
-                            v.push((id.0, amt));
-                        }
-                    };
-                push(&mut sparse, table.core_issue(e.core), d.instr * m);
-                push(&mut sparse, table.l1(e.core), d.l1 * m);
-                push(&mut sparse, table.l2(e.core), d.l2 * m);
-                if d.l3 > 0.0 {
-                    push(&mut sparse, table.l3_link(e.core), d.l3 * m);
-                    push(&mut sparse, table.l3_aggregate(e.socket), d.l3 * m);
-                }
-                let dram_total = (d.dram + extra_dram) * m;
-                if dram_total > 0.0 {
-                    for (node, &frac) in e.dram_split.iter().enumerate() {
-                        if frac <= 0.0 {
+                    for members in &scratch.core_members {
+                        if members.len() < 2 {
                             continue;
                         }
-                        let node_id = SocketId(node);
-                        push(&mut sparse, table.dram(node_id), dram_total * frac);
-                        if node_id != e.socket {
-                            if let Some(link) = table.interconnect(e.socket, node_id) {
-                                push(&mut sparse, link, dram_total * frac);
+                        for &k in members {
+                            for &k2 in members {
+                                if k2 != k {
+                                    scratch.interference[k] += (multipliers[k2] - 1.0).max(0.0)
+                                        * spec.smt_burst_collision;
+                                }
                             }
                         }
                     }
                 }
-                if e.is_worker() && e.behavior.seq_fraction > 0.0 {
-                    sparse.push((lock_base + e.group, e.behavior.seq_fraction));
+
+                // Capacities for this segment: one memcpy of the nominal
+                // table, then DVFS/SMT scaling of occupied cores only. An
+                // idle core's pools carry no demand this segment, so
+                // leaving them nominal cannot move the solve.
+                capacities[..soa.base_caps.len()].copy_from_slice(&soa.base_caps);
+                for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
+                    if occ == 0 {
+                        continue;
+                    }
+                    let scale = scratch.dvfs.socket_scale[soa.core_home[c]];
+                    let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
+                    let issue = table.core_issue(CoreId(c));
+                    capacities[issue.0] = table.get(issue).capacity * scale * smt;
+                    let l1 = table.l1(CoreId(c));
+                    capacities[l1.0] = table.get(l1).capacity * scale;
+                    let l2 = table.l2(CoreId(c));
+                    capacities[l2.0] = table.get(l2).capacity * scale;
                 }
-                instr_demands.push(d.instr * m);
-                demands.push(EntityDemand { demands: sparse, max_rate: 1.0 });
+                for g in 0..n_groups {
+                    capacities[lock_base + g] = 1.0;
+                }
+
+                // Build demand bundles (burst- and spill-adjusted) into
+                // reused slots: the sparse buffers from previous segments
+                // are cleared and refilled, never reallocated.
+                demands.truncate(runnable.len());
+                scratch.instr_demands.clear();
+                for (k, &i) in runnable.iter().enumerate() {
+                    let m = multipliers[k];
+                    let spill_frac = scratch.spill_frac_socket[soa.socket[i]];
+                    let extra_dram = soa.d_l3[i] * spill_frac;
+                    if k == demands.len() {
+                        // lint: allow(H2): first-touch slot growth; every later segment reuses the slot's buffer
+                        demands.push(EntityDemand { demands: Vec::with_capacity(10), max_rate: 1.0 });
+                    }
+                    let slot = &mut demands[k];
+                    slot.max_rate = 1.0;
+                    let sparse = &mut slot.demands;
+                    sparse.clear();
+                    push_demand(sparse, soa.res_issue[i], soa.d_instr[i] * m);
+                    push_demand(sparse, soa.res_l1[i], soa.d_l1[i] * m);
+                    push_demand(sparse, soa.res_l2[i], soa.d_l2[i] * m);
+                    if soa.d_l3[i] > 0.0 {
+                        push_demand(sparse, soa.res_l3_link[i], soa.d_l3[i] * m);
+                        push_demand(sparse, soa.res_l3_agg[i], soa.d_l3[i] * m);
+                    }
+                    let dram_total = (soa.d_dram[i] + extra_dram) * m;
+                    if dram_total > 0.0 {
+                        for node in 0..spec.sockets {
+                            let frac = soa.dram_split[i * spec.sockets + node];
+                            if frac <= 0.0 {
+                                continue;
+                            }
+                            push_demand(sparse, soa.res_dram[node], dram_total * frac);
+                            if node != soa.socket[i] {
+                                if let Some(link) = soa.res_link[soa.socket[i] * spec.sockets + node]
+                                {
+                                    push_demand(sparse, link, dram_total * frac);
+                                }
+                            }
+                        }
+                    }
+                    if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
+                        sparse.push((lock_base + soa.group[i], soa.seq_fraction[i]));
+                    }
+                    scratch.instr_demands.push(soa.d_instr[i] * m);
+                }
+
+                // Communication constants per runnable thread, hoisted out
+                // of the relaxation rounds: the `comm_factor · latency`
+                // products are fixed for the segment (two per thread, for
+                // same- and cross-socket peers — the same two multiplies
+                // the per-pair form performs, in the same order), and the
+                // same-group worker lists bound each thread's peer scan to
+                // its actual peers in ascending runnable order.
+                scratch.cf_lat_intra.clear();
+                scratch.cf_lat_cross.clear();
+                for &i in &runnable {
+                    let cf = soa.comm_factor[i];
+                    scratch
+                        .cf_lat_intra
+                        .push(cf * (soa.intra_socket_comm[i] * spec.interconnect_latency));
+                    scratch.cf_lat_cross.push(cf * (1.0 * spec.interconnect_latency));
+                }
+                scratch.group_members.resize_with(n_groups, Vec::new);
+                for list in &mut scratch.group_members {
+                    list.clear();
+                }
+                for (k, &i) in runnable.iter().enumerate() {
+                    if soa.is_worker[i] {
+                        scratch.group_members[soa.group[i]].push(k);
+                    }
+                }
+
+                // Snapshot the structural inputs so the next full middle
+                // can recognise an unchanged prologue.
+                scratch.prev_runnable.clear();
+                scratch.prev_runnable.extend_from_slice(&runnable);
+                scratch.prev_multipliers.clear();
+                scratch.prev_multipliers.extend(multipliers.iter().map(|m| m.to_bits()));
+                scratch.structure_valid = true;
             }
 
-            // Relaxation rounds: lock queueing + communication latency feed
-            // back into intrinsic rates.
-            let mut round_rates: Vec<f64> = runnable.iter().map(|&i| prev_rates[i]).collect();
-            // lint: allow(H2): Vec::new allocates nothing; the buffer is local to the segment
-            let mut last_loads: Vec<f64> = Vec::new();
-            for _ in 0..config.relaxation_rounds {
-                // Per-group lock utilization from the latest rates.
-                let mut rho = vec![0.0_f64; n_groups];
+            // Relaxation rounds: lock queueing + communication latency
+            // feed back into intrinsic rates. The round buffers live
+            // in the scratch; the solver's result is copied out, so a
+            // steady segment stream performs no per-round allocation.
+            scratch.round_rates.clear();
+            scratch.round_rates.extend(runnable.iter().map(|&i| prev_rates[i]));
+            scratch.last_loads.clear();
+            for round in 0..config.relaxation_rounds {
+                scratch.rho.clear();
+                scratch.rho.resize(n_groups, 0.0);
                 for (k, &i) in runnable.iter().enumerate() {
-                    let e = &entities[i];
-                    if e.is_worker() && e.behavior.seq_fraction > 0.0 {
-                        rho[e.group] += round_rates[k] * e.behavior.seq_fraction;
+                    if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
+                        scratch.rho[soa.group[i]] +=
+                            scratch.round_rates[k] * soa.seq_fraction[i];
                     }
                 }
-                let queue_delay: Vec<f64> = rho
-                    .iter()
-                    .map(|&r| {
-                        let r = r.min(config.max_lock_rho);
-                        r / (1.0 - r)
-                    })
-                    .collect();
+                scratch.queue_delay.clear();
+                scratch.queue_delay.extend(scratch.rho.iter().map(|&r| {
+                    let r = r.min(config.max_lock_rho);
+                    r / (1.0 - r)
+                }));
+
+                // Peer weights cached per (socket, peer): the weight
+                // divides the peer's round rate by the *observer's*
+                // socket scale, of which there are only `sockets`
+                // distinct values — so the divisions drop from one
+                // per pair to one per (socket, peer). Same
+                // expression, same bits.
+                scratch.peer_weight.clear();
+                scratch.peer_weight.resize(spec.sockets * nk, 0.0);
+                for s in 0..spec.sockets {
+                    let scale = scratch.dvfs.socket_scale[s];
+                    let row = &mut scratch.peer_weight[s * nk..(s + 1) * nk];
+                    for (k2, slot) in row.iter_mut().enumerate() {
+                        *slot = (scratch.round_rates[k2] / scale.max(1e-9)).min(1.0);
+                    }
+                }
 
                 for (k, &i) in runnable.iter().enumerate() {
-                    let e = &entities[i];
-                    let scale = dvfs.scale_for_core(spec, e.core);
-                    let max_rate = if e.is_worker() {
-                        // Communication latency: per unit, pay for each active
-                        // *same-group* peer weighted by its progress.
+                    let scale = scratch.dvfs.socket_scale[soa.socket[i]];
+                    let max_rate = if soa.is_worker[i] {
+                        // Communication latency: per unit, pay for each
+                        // active *same-group* peer weighted by its
+                        // progress.
                         let mut comm = 0.0;
-                        if e.behavior.comm_factor > 0.0 {
-                            for (k2, &j) in runnable.iter().enumerate() {
-                                if j == i
-                                    || !entities[j].is_worker()
-                                    || entities[j].group != e.group
-                                {
+                        if soa.comm_factor[i] > 0.0 {
+                            let base = soa.socket[i] * nk;
+                            for &k2 in &scratch.group_members[soa.group[i]] {
+                                if k2 == k {
                                     continue;
                                 }
-                                let peer_weight = (round_rates[k2] / scale.max(1e-9)).min(1.0);
-                                let lat = if entities[j].socket == e.socket {
-                                    e.behavior.intra_socket_comm
+                                let j = runnable[k2];
+                                let cf_lat = if soa.socket[j] == soa.socket[i] {
+                                    scratch.cf_lat_intra[k]
                                 } else {
-                                    1.0
-                                } * spec.interconnect_latency;
-                                comm += e.behavior.comm_factor * lat * peer_weight;
+                                    scratch.cf_lat_cross[k]
+                                };
+                                comm += cf_lat * scratch.peer_weight[base + k2];
                             }
                         }
-                        let queue = e.behavior.seq_fraction * queue_delay[e.group];
-                        scale / (1.0 + queue + comm + interference[k])
+                        let queue = soa.seq_fraction[i] * scratch.queue_delay[soa.group[i]];
+                        scale / (1.0 + queue + comm + scratch.interference[k])
                     } else {
-                        scale / (1.0 + interference[k])
+                        scale / (1.0 + scratch.interference[k])
                     };
-                    // A single thread cannot sustain more than the ILP share of
-                    // its core's issue width (SMT pairs jointly can, via the
-                    // shared issue resource).
-                    let max_rate = if instr_demands[k] > 0.0 {
+                    // A single thread cannot sustain more than the ILP
+                    // share of its core's issue width (SMT pairs jointly
+                    // can, via the shared issue resource).
+                    let max_rate = if scratch.instr_demands[k] > 0.0 {
                         let ilp_cap = spec.single_thread_ilp * spec.core_ipc_rate * scale
-                            / instr_demands[k];
+                            / scratch.instr_demands[k];
                         max_rate.min(ilp_cap)
                     } else {
                         max_rate
                     };
                     demands[k].max_rate = max_rate;
                 }
-                let alloc = if config.incremental {
-                    // lint: allow(H2): legacy oracle path clones the borrowed allocation once per solve; the SoA path keeps the borrow
-                    solver.solve(&demands, &capacities).clone()
-                } else {
+                // The naive loop solves from scratch. The incremental
+                // path re-primes the solver on this segment's demand
+                // bundles in round 0; later rounds rewrite only the rate
+                // caps, so the prefix walk's outcome is known and
+                // skipped. An unchanged structure extends that to round
+                // 0 too: the solver's last call already holds these
+                // exact bundles.
+                let from_scratch;
+                let alloc = if !config.incremental {
                     stats.solves += 1;
-                    equilibrium::solve(&demands, &capacities)
+                    from_scratch = equilibrium::solve(&demands, &capacities);
+                    &from_scratch
+                } else if round == 0 && !structure_same {
+                    solver.solve(&demands, &capacities)
+                } else {
+                    solver.solve_same_demands(&demands, &capacities)
                 };
-                round_rates = alloc.rates;
-                last_loads = alloc.loads;
+                scratch.round_rates.clear();
+                scratch.round_rates.extend_from_slice(&alloc.rates);
+                scratch.last_loads.clear();
+                scratch.last_loads.extend_from_slice(&alloc.loads);
             }
-            let rates = round_rates;
 
             let mut group_rate = vec![0.0_f64; n_groups];
             for (k, &i) in runnable.iter().enumerate() {
-                let e = &entities[i];
-                if e.is_worker() {
-                    group_rate[e.group] += rates[k];
+                if soa.is_worker[i] {
+                    group_rate[soa.group[i]] += scratch.round_rates[k];
                 }
             }
 
             let hottest = if trace.is_some() {
                 // Hottest *hardware* resource this segment (locks excluded).
-                last_loads
+                scratch
+                    .last_loads
                     .iter()
                     .take(table.len())
                     .enumerate()
@@ -1373,10 +1090,12 @@ fn run_multi_impl(
             CachedSegment {
                 // lint: allow(H2): the cache entry must own its key
                 key: seg_key.clone(),
-                rates,
+                // lint: allow(H2): the cache entry owns its rates; the scratch buffer is reused next segment
+                rates: scratch.round_rates.clone(),
                 group_rate,
                 hottest,
-                spill_frac_socket,
+                // lint: allow(H2): the cache entry owns its outputs; the scratch buffer is reused next segment
+                spill_frac_socket: scratch.spill_frac_socket.clone(),
             }
         };
 

@@ -13,7 +13,7 @@
 //! Pandia predictor's per-thread oversubscription factors.
 
 /// One entity's demand bundle: sparse `(resource index, demand per unit of
-//  progress)` pairs plus an intrinsic rate cap.
+/// progress)` pairs plus an intrinsic rate cap.
 #[derive(Debug, Clone)]
 pub struct EntityDemand {
     /// Sparse per-unit demands: `(resource index, amount per progress unit)`.
@@ -294,9 +294,7 @@ struct FillScratch {
 ///   previous call's: the cached allocation is returned outright;
 /// * *prefix* — every demand bundle is bitwise unchanged and only rate
 ///   caps (and possibly capacities) moved: the whole pristine contributor
-///   state is reused and just the filling loop runs. This is the batched
-///   fast path: one contributor build fans out across every candidate
-///   that shares it;
+///   state is reused and just the filling loop runs;
 /// * *delta* — the new entity list shares a proper leading prefix with
 ///   the previous one (a finished thread, a flipped burst phase): the
 ///   stack is rewound to the shared prefix — restoring the journaled
@@ -372,99 +370,7 @@ impl IncrementalSolver {
         } else {
             self.stats.solves += 1;
         }
-        self.prefix.rewind(lcp);
-        for e in &entities[lcp..] {
-            self.prefix.push(e);
-        }
-        // Refresh the stored rate caps: the pristine state ignores their
-        // values, but the skip check above needs the exact bits.
-        for (slot, src) in self.prefix.entities.iter_mut().zip(entities) {
-            slot.max_rate = src.max_rate;
-        }
-        self.capacities.clear();
-        self.capacities.extend_from_slice(capacities);
-        fill_pristine(
-            entities,
-            capacities,
-            &self.prefix.active,
-            &self.prefix.contrib,
-            &self.prefix.live,
-            &self.prefix.slope,
-            &mut self.scratch,
-            &mut self.allocation,
-        );
-        self.primed = true;
-        &self.allocation
-    }
-
-    /// [`Self::solve`] for callers that know, from their own change
-    /// tracking, the longest leading prefix of `entities` whose
-    /// pristine state matches this solver's stack: every entity before
-    /// `lcp` must be [`prefix_compatible`] with the stored stack
-    /// (`entities.len()` when all are), and the entity *at* `lcp` is
-    /// expected incompatible. The engine derives this from its
-    /// structural snapshot — with an unchanged runnable set a bundle
-    /// moves exactly when its entity's burst multiplier bits moved and
-    /// the bundle carries multiplier-scaled entries. That derivation
-    /// cannot see one corner: two distinct multipliers whose scaled
-    /// products all round to identical bits. The boundary entity is
-    /// therefore re-checked here, and on a collision the call falls
-    /// back to the full walk of [`Self::solve`] — so classification
-    /// and arithmetic stay exactly `solve`'s in every case. Debug
-    /// builds verify the claimed prefix entity by entity.
-    pub fn solve_with_prefix_hint(
-        &mut self,
-        entities: &[EntityDemand],
-        capacities: &[f64],
-        lcp: usize,
-    ) -> &Allocation {
-        debug_assert!(self.primed);
-        debug_assert_eq!(self.prefix.depth, entities.len());
-        debug_assert_eq!(self.prefix.slope.len(), capacities.len());
-        debug_assert!(
-            self.prefix
-                .entities
-                .iter()
-                .zip(entities)
-                .take(lcp)
-                .all(|(prev, cur)| prefix_compatible(prev, cur)),
-            "every entity before the hinted prefix length must be compatible"
-        );
-        if lcp == entities.len() {
-            return self.solve_same_demands(entities, capacities);
-        }
-        if prefix_compatible(&self.prefix.entities[lcp], &entities[lcp]) {
-            // Rounding collision: the caller saw the boundary entity's
-            // inputs move, but the scaled entries still came out
-            // bitwise identical. Re-derive the true prefix length so
-            // the reuse depth and counters match a plain solve.
-            return self.solve(entities, capacities);
-        }
-        if lcp > 0 {
-            self.stats.delta_solves += 1;
-        } else {
-            self.stats.solves += 1;
-        }
-        self.prefix.rewind(lcp);
-        for e in &entities[lcp..] {
-            self.prefix.push(e);
-        }
-        for (slot, src) in self.prefix.entities.iter_mut().zip(entities) {
-            slot.max_rate = src.max_rate;
-        }
-        self.capacities.clear();
-        self.capacities.extend_from_slice(capacities);
-        fill_pristine(
-            entities,
-            capacities,
-            &self.prefix.active,
-            &self.prefix.contrib,
-            &self.prefix.live,
-            &self.prefix.slope,
-            &mut self.scratch,
-            &mut self.allocation,
-        );
-        &self.allocation
+        self.refill(entities, capacities, lcp)
     }
 
     /// [`Self::solve`] for callers that *know* every demand bundle is
@@ -501,6 +407,23 @@ impl IncrementalSolver {
             return &self.allocation;
         }
         self.stats.prefix_solves += 1;
+        self.refill(entities, capacities, entities.len())
+    }
+
+    /// Rewinds the stack to its first `lcp` entities, pushes the rest of
+    /// `entities`, stores the new inputs and runs the filling loop.
+    fn refill(
+        &mut self,
+        entities: &[EntityDemand],
+        capacities: &[f64],
+        lcp: usize,
+    ) -> &Allocation {
+        self.prefix.rewind(lcp);
+        for e in &entities[lcp..] {
+            self.prefix.push(e);
+        }
+        // Refresh the stored rate caps: the pristine state ignores their
+        // values, but the skip check needs the exact bits.
         for (slot, src) in self.prefix.entities.iter_mut().zip(entities) {
             slot.max_rate = src.max_rate;
         }
@@ -516,26 +439,9 @@ impl IncrementalSolver {
             &mut self.scratch,
             &mut self.allocation,
         );
+        self.primed = true;
         &self.allocation
     }
-}
-
-/// Solves every candidate entity list against one shared capacity
-/// vector, batching the pristine-state construction across candidates
-/// that share demand prefixes: each candidate reuses the longest leading
-/// run of entities bitwise shared with its predecessor (one prefix build
-/// fanned out to all sharing candidates), then runs its own filling
-/// loop. Bit-identical to calling [`solve`] on each candidate
-/// independently, in any sharing pattern — all-share, none-share, or
-/// nested prefixes.
-///
-/// Callers that sweep structured candidate sets (e.g. placements that
-/// differ only in their trailing threads) should order candidates so
-/// neighbours share long prefixes; correctness never depends on the
-/// order.
-pub fn solve_batch(candidates: &[Vec<EntityDemand>], capacities: &[f64]) -> Vec<Allocation> {
-    let mut solver = IncrementalSolver::new();
-    candidates.iter().map(|c| solver.solve(c, capacities).clone()).collect()
 }
 
 /// Bitwise equality of two capacity vectors.
@@ -615,37 +521,13 @@ fn fill_pristine(
     s.dirty_flag.resize(m, false);
 
     while !s.active.is_empty() {
-        // Four independent min accumulators let the divisions pipeline
-        // instead of serialising behind one running minimum; `f64::min`
-        // is exact (the result is one of its operands, never a rounded
-        // combination), so regrouping the reduction cannot change which
-        // value survives.
-        let (mut d0, mut d1, mut d2, mut d3) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        let mut quads = s.touched.chunks_exact(4);
-        for quad in &mut quads {
-            let (r0, r1, r2, r3) = (quad[0], quad[1], quad[2], quad[3]);
-            let (s0, s1, s2, s3) = (s.slope[r0], s.slope[r1], s.slope[r2], s.slope[r3]);
-            if s0 > 0.0 {
-                d0 = d0.min(s.residual[r0].max(0.0) / s0);
-            }
-            if s1 > 0.0 {
-                d1 = d1.min(s.residual[r1].max(0.0) / s1);
-            }
-            if s2 > 0.0 {
-                d2 = d2.min(s.residual[r2].max(0.0) / s2);
-            }
-            if s3 > 0.0 {
-                d3 = d3.min(s.residual[r3].max(0.0) / s3);
-            }
-        }
-        for &r in quads.remainder() {
+        let mut delta = f64::INFINITY;
+        for &r in &s.touched {
             let sl = s.slope[r];
             if sl > 0.0 {
-                d0 = d0.min((s.residual[r].max(0.0)) / sl);
+                delta = delta.min(s.residual[r].max(0.0) / sl);
             }
         }
-        let mut delta = d0.min(d1).min(d2).min(d3);
         for &e in &s.active {
             delta = delta.min(s.maxr[e] - rates[e]);
         }

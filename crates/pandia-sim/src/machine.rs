@@ -38,19 +38,11 @@ impl SimConfig {
     }
 
     /// Returns this configuration with the engine's incremental fast path
-    /// (solve reuse + steady-segment coalescing) toggled. On by default;
-    /// the escape hatch lets tests run both paths and assert equivalence.
+    /// (solve reuse, segment coalescing, structure skip) toggled. On by
+    /// default; off runs the naive loop, the reference the fast path is
+    /// tested against.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.engine.incremental = incremental;
-        self
-    }
-
-    /// Returns this configuration with the engine's structure-of-arrays
-    /// segment middle toggled. On by default; `with_soa(false)` selects
-    /// the legacy per-entity-struct walk so the differential oracle suite
-    /// can assert both layouts produce bit-identical results.
-    pub fn with_soa(mut self, soa: bool) -> Self {
-        self.engine.soa = soa;
         self
     }
 }

@@ -1,14 +1,17 @@
-//! Differential oracle for the structure-of-arrays segment middle.
+//! Differential oracle for the engine's incremental fast path.
 //!
-//! The SoA engine path (`EngineConfig { soa: true }`, the default) must be
-//! bit-identical to the legacy per-entity-struct walk
-//! (`SimConfig::with_soa(false)`) on *every* input the engine accepts:
-//! results, counters, and full `RunTrace` trees, with the incremental fast
-//! path on or off, with and without armed fault plans. These sweeps drive
-//! both paths over seeded randomized configurations — machines × workloads
-//! × placements × stressors × fault plans — and assert exact equality, so
-//! any arithmetic reordering in the hot path fails loudly with the seed
-//! that exposed it.
+//! The incremental engine (`EngineConfig { incremental: true }`, the
+//! default) must be bit-identical to the naive loop
+//! (`EngineConfig { incremental: false }`) on *every* input the engine
+//! accepts: results, counters, full `RunTrace` trees and errors, with and
+//! without armed fault plans. The naive loop is the plain reference: every
+//! segment recomputes its structure prologue (DVFS, spill, interference,
+//! capacities, demand bundles), nothing is replayed from the segment memo,
+//! and every equilibrium is solved from scratch. These sweeps drive both
+//! modes over seeded randomized configurations — machines × workloads ×
+//! placements × stressors × fault plans — and assert exact equality, so a
+//! shortcut that goes stale or reorders arithmetic fails loudly with the
+//! seed that exposed it.
 
 use pandia_sim::engine::{
     run_multi_stats, run_multi_traced, EngineConfig, GroupInput, MultiRunInputs,
@@ -90,42 +93,32 @@ fn random_placement(rng: &mut Rng, spec: &MachineSpec) -> Placement {
         .expect("one thread always places")
 }
 
-/// Runs both layouts (SoA vs legacy), with the incremental fast path both
-/// on and off, and asserts the `(results, trace)` pairs — or the errors —
-/// are exactly equal.
-fn assert_soa_matches_legacy(inputs: &MultiRunInputs<'_>, base: &EngineConfig, label: &str) {
-    for incremental in [true, false] {
-        let soa_cfg = EngineConfig { incremental, soa: true, ..base.clone() };
-        let leg_cfg = EngineConfig { incremental, soa: false, ..base.clone() };
-        let soa = run_multi_traced(inputs, &soa_cfg);
-        let legacy = run_multi_traced(inputs, &leg_cfg);
-        match (soa, legacy) {
-            (Ok((soa_results, soa_trace)), Ok((leg_results, leg_trace))) => {
-                assert_eq!(
-                    soa_results, leg_results,
-                    "{label} incremental={incremental}: results diverged"
-                );
-                assert_eq!(
-                    soa_trace, leg_trace,
-                    "{label} incremental={incremental}: traces diverged"
-                );
-            }
-            (Err(soa_err), Err(leg_err)) => {
-                assert_eq!(
-                    soa_err, leg_err,
-                    "{label} incremental={incremental}: errors diverged"
-                );
-            }
-            (soa, legacy) => panic!(
-                "{label} incremental={incremental}: one path failed where the \
-                 other succeeded: soa={soa:?} legacy={legacy:?}"
-            ),
+/// Runs the incremental engine and the naive loop and asserts their
+/// `(results, trace)` pairs — or their errors — are exactly equal.
+fn assert_incremental_matches_naive(
+    inputs: &MultiRunInputs<'_>,
+    base: &EngineConfig,
+    label: &str,
+) {
+    let fast = run_multi_traced(inputs, &EngineConfig { incremental: true, ..base.clone() });
+    let naive = run_multi_traced(inputs, &EngineConfig { incremental: false, ..base.clone() });
+    match (fast, naive) {
+        (Ok((fast_results, fast_trace)), Ok((naive_results, naive_trace))) => {
+            assert_eq!(fast_results, naive_results, "{label}: results diverged");
+            assert_eq!(fast_trace, naive_trace, "{label}: traces diverged");
         }
+        (Err(fast_err), Err(naive_err)) => {
+            assert_eq!(fast_err, naive_err, "{label}: errors diverged");
+        }
+        (fast, naive) => panic!(
+            "{label}: one mode failed where the other succeeded: \
+             incremental={fast:?} naive={naive:?}"
+        ),
     }
 }
 
 #[test]
-fn soa_matches_legacy_over_seeded_random_configs() {
+fn incremental_matches_naive_over_seeded_random_configs() {
     let mut rng = Rng(0xD1FF_0AC1E ^ 0x5EED);
     for case in 0..24u64 {
         let spec = random_machine(&mut rng);
@@ -153,14 +146,18 @@ fn soa_matches_legacy_over_seeded_random_configs() {
             turbo: rng.unit() < 0.7,
             seed: 1000 + case,
         };
-        assert_soa_matches_legacy(&inputs, &EngineConfig::default(), &format!("case {case}"));
+        assert_incremental_matches_naive(
+            &inputs,
+            &EngineConfig::default(),
+            &format!("case {case}"),
+        );
     }
 }
 
 #[test]
-fn soa_matches_legacy_with_armed_fault_plans() {
+fn incremental_matches_naive_with_armed_fault_plans() {
     // Armed fault plans disable segment coalescing and gate per-segment
-    // draws — observable state the SoA path must thread through exactly,
+    // draws — observable state the fast path must thread through exactly,
     // including transient-fault errors and counter dropouts.
     let mut rng = Rng(0xFA_017);
     for case in 0..12u64 {
@@ -182,15 +179,15 @@ fn soa_matches_legacy_with_armed_fault_plans() {
             faults: FaultPlan::with_intensity(intensity),
             ..EngineConfig::default()
         };
-        assert_soa_matches_legacy(&inputs, &config, &format!("fault case {case}"));
+        assert_incremental_matches_naive(&inputs, &config, &format!("fault case {case}"));
     }
 }
 
 #[test]
-fn soa_matches_legacy_on_fault_boundary_plans() {
-    // PR 5's boundary cases: a zero-rate plan with extreme scale knobs
-    // must inject nothing on either path, and an armed plan must disable
-    // coalescing on both paths identically.
+fn incremental_matches_naive_on_fault_boundary_plans() {
+    // Fault-plan boundary cases: a zero-rate plan with extreme scale
+    // knobs must inject nothing in either mode, and an armed plan must
+    // disable the incremental path's segment coalescing.
     let spec = MachineSpec::x3_2();
     let mut b = Behavior::compute("boundary", 30.0, 4.0);
     b.burst = BurstProfile::bursty(0.4, 2.0);
@@ -220,16 +217,13 @@ fn soa_matches_legacy_on_fault_boundary_plans() {
         ("armed", FaultPlan::with_intensity(0.5)),
     ] {
         let config = EngineConfig { faults: plan.clone(), ..EngineConfig::default() };
-        assert_soa_matches_legacy(&inputs, &config, name);
+        assert_incremental_matches_naive(&inputs, &config, name);
         if !plan.is_none() {
-            for soa in [true, false] {
-                let cfg = EngineConfig { soa, faults: plan.clone(), ..EngineConfig::default() };
-                if let Ok((_, stats)) = run_multi_stats(&inputs, &cfg) {
-                    assert_eq!(
-                        stats.segments_coalesced, 0,
-                        "{name} soa={soa}: armed plan must disable coalescing"
-                    );
-                }
+            if let Ok((_, stats)) = run_multi_stats(&inputs, &config) {
+                assert_eq!(
+                    stats.segments_coalesced, 0,
+                    "{name}: armed plan must disable coalescing"
+                );
             }
         }
     }

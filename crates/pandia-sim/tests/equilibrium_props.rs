@@ -6,7 +6,7 @@
 //! splitmix64 generator: every case is reproducible from its printed
 //! seed.
 
-use pandia_sim::equilibrium::{solve, solve_batch, Allocation, EntityDemand, IncrementalSolver};
+use pandia_sim::equilibrium::{solve, Allocation, EntityDemand, IncrementalSolver};
 
 const CASES: u64 = 48;
 
@@ -185,20 +185,19 @@ fn incremental_matches_from_scratch_bitwise() {
     }
 }
 
-/// Asserts `solve_batch` over `candidates` is bitwise the independent
-/// solve of each candidate, and that at least `min_fast` of the batch's
-/// solver calls avoided a from-scratch rebuild when sharing was present.
+/// Asserts that one [`IncrementalSolver`] fed `candidates` in order
+/// answers each bitwise as the independent from-scratch solve, whatever
+/// state the previous candidates left behind.
 fn assert_batch_matches_independent(
     candidates: &[Vec<EntityDemand>],
     capacities: &[f64],
     what: &str,
     seed: u64,
 ) {
-    let batched = solve_batch(candidates, capacities);
-    assert_eq!(batched.len(), candidates.len(), "{what} (seed {seed})");
-    for (c, (got, cand)) in batched.iter().zip(candidates).enumerate() {
-        let independent = solve(cand, capacities);
-        assert_bits_eq(got, &independent, &format!("{what} candidate {c}"), seed);
+    let mut solver = IncrementalSolver::new();
+    for (c, cand) in candidates.iter().enumerate() {
+        let got = solver.solve(cand, capacities);
+        assert_bits_eq(got, &solve(cand, capacities), &format!("{what} candidate {c}"), seed);
     }
 }
 
@@ -270,8 +269,7 @@ fn batched_solves_match_independent_on_nested_prefixes() {
 fn batched_prefix_reuse_survives_capacity_changes() {
     // The pristine contributor state is independent of capacities, so a
     // batch whose candidates share demands but see different capacity
-    // vectors must still fan one prefix build across all of them. Driven
-    // through the solver directly since `solve_batch` fixes capacities.
+    // vectors must still fan one prefix build across all of them.
     for seed in 0..CASES {
         let mut rng = Rng::new(seed);
         let (base, capacities) = random_instance(&mut rng);
@@ -305,5 +303,60 @@ fn incremental_survives_interleaved_input_changes() {
             let b = solver.solve(&b_entities, &b_caps);
             assert_bits_eq(b, &solve(&b_entities, &b_caps), "interleaved b", seed);
         }
+    }
+}
+
+#[test]
+fn same_demand_solves_match_from_scratch_and_classify_like_solve() {
+    // The engine's relaxation rounds keep every demand bundle fixed and
+    // move only rate caps and capacities between solves, through
+    // `solve_same_demands`. Each answer must be bitwise the from-scratch
+    // solve, and each call must land in the counter bucket a plain
+    // `solve` would pick: `solves_skipped` for an exact repeat,
+    // `prefix_solves` otherwise.
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let (mut entities, mut capacities) = random_instance(&mut rng);
+        // An inactive entity (zero rate cap) keeps its class throughout,
+        // as the caller's contract requires.
+        if rng.usize_in(0, 2) == 0 {
+            let idle = rng.usize_in(0, entities.len() - 1);
+            entities[idle].max_rate = 0.0;
+        }
+        let mut same = IncrementalSolver::new();
+        let mut plain = IncrementalSolver::new();
+        same.solve(&entities, &capacities);
+        plain.solve(&entities, &capacities);
+        let (mut repeats, mut moves) = (0, 0);
+        for step in 0..8 {
+            let what = format!("same-demand step {step}");
+            let before: Vec<f64> =
+                entities.iter().map(|e| e.max_rate).chain(capacities.iter().copied()).collect();
+            if rng.usize_in(0, 2) > 0 {
+                for e in entities.iter_mut().filter(|e| e.max_rate > 0.0) {
+                    e.max_rate = rng.f64_in(0.1, 3.0);
+                }
+            }
+            if rng.usize_in(0, 2) == 0 {
+                for c in &mut capacities {
+                    *c = rng.f64_in(0.5, 20.0);
+                }
+            }
+            let after = entities.iter().map(|e| e.max_rate).chain(capacities.iter().copied());
+            if before.iter().zip(after).all(|(x, y)| x.to_bits() == y.to_bits()) {
+                repeats += 1;
+            } else {
+                moves += 1;
+            }
+            let want = solve(&entities, &capacities);
+            assert_bits_eq(same.solve_same_demands(&entities, &capacities), &want, &what, seed);
+            assert_bits_eq(plain.solve(&entities, &capacities), &want, &what, seed);
+        }
+        let stats = same.stats();
+        assert_eq!(stats, plain.stats(), "counters must classify like solve (seed {seed})");
+        assert_eq!(stats.solves, 1, "only the priming call builds state: {stats:?}");
+        assert_eq!(stats.delta_solves, 0, "bundles never move: {stats:?}");
+        assert_eq!(stats.solves_skipped, repeats, "exact repeats skip: {stats:?}");
+        assert_eq!(stats.prefix_solves, moves, "moved caps reuse the prefix: {stats:?}");
     }
 }
