@@ -10,9 +10,8 @@
 //! full-coverage `--trace-out` capture with `--trace-buffer SPANS` when
 //! the sweep records more than the default 2^18 spans.
 //!
-//! `--naive-sim` disables the simulator's incremental fast path (solve
-//! reuse, segment coalescing, structure skip) so CI can assert the fast
-//! path and the naive loop emit byte-identical results.
+//! `--naive-sim` disables the simulator's segment memo so CI can assert
+//! the memo and the naive loop emit byte-identical results.
 
 use std::time::Instant;
 

@@ -61,22 +61,15 @@ pub struct EngineConfig {
     /// Deterministic fault-injection schedule. The default plan injects
     /// nothing and is byte-identical to an engine without the fault layer.
     pub faults: FaultPlan,
-    /// Enables the incremental fast path. Three shortcuts:
+    /// Enables the segment memo, the engine's one fast path: a segment
+    /// whose full input triple — runnable set, burst multipliers,
+    /// relaxation warm start — recurs bit for bit is replayed from the
+    /// memo instead of recomputed (a fault plan disables replay).
     ///
-    /// * equilibrium solves reuse the previous solve's work when the
-    ///   inputs are bitwise unchanged or share a leading prefix;
-    /// * segments whose full input triple — runnable set, burst
-    ///   multipliers, relaxation warm start — recurs bit-for-bit are
-    ///   replayed from a memo instead of recomputed (a fault plan
-    ///   disables replay);
-    /// * a segment whose runnable set and multipliers match the previous
-    ///   fully computed one skips its structure prologue (DVFS, spill,
-    ///   interference, capacities, demand bundles).
-    ///
-    /// All three are bit-identical to the naive loop. With the switch off
-    /// the engine is that loop: every segment recomputes its prologue and
-    /// solves from scratch with [`equilibrium::solve`], so tests can run
-    /// both and assert equivalence.
+    /// Replay is bit-identical to the naive loop. With the switch off the
+    /// engine is that loop: every segment is computed in full, so tests
+    /// can run both and assert equivalence. Both modes solve every
+    /// relaxation round with [`equilibrium::solve`].
     pub incremental: bool,
 }
 
@@ -95,7 +88,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// Fast-path accounting for one engine run.
+/// Segment and solve accounting for one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Segments executed (replayed or fully computed).
@@ -103,16 +96,9 @@ pub struct SimStats {
     /// Segments replayed from the segment memo instead of being fully
     /// recomputed.
     pub segments_coalesced: u64,
-    /// Equilibrium solves that ran the progressive-filling loop (from
-    /// scratch or warm-started).
+    /// [`equilibrium::solve`] calls: one per relaxation round of every
+    /// fully computed segment. A replayed segment solves nothing.
     pub solves: u64,
-    /// Equilibrium solves answered from the solver's input cache.
-    pub solves_skipped: u64,
-    /// Equilibrium solves that reused the solver's entire pristine
-    /// contributor state — the batched fast path, where one prefix build
-    /// fans out across every solve sharing the same demand bundles (only
-    /// rate caps or capacities moved between them).
-    pub solves_batched: u64,
 }
 
 /// One memoized segment middle: everything the full per-segment
@@ -365,7 +351,8 @@ pub fn run_multi_traced(
 }
 
 /// Like [`run_multi`], additionally returning the run's [`SimStats`] so
-/// tests and harnesses can assert on the fast path's behaviour directly.
+/// tests and harnesses can assert on the segment memo and the solve count
+/// directly.
 pub fn run_multi_stats(
     inputs: &MultiRunInputs<'_>,
     config: &EngineConfig,
@@ -500,13 +487,6 @@ struct SegScratch {
     /// Per-(socket, peer) communication weight for the current round,
     /// stride = runnable count.
     peer_weight: Vec<f64>,
-    /// Structural inputs of the last fully computed middle: the runnable
-    /// set and the burst multiplier bits. When both recur, the whole
-    /// prologue (DVFS → spill → interference → capacities → demands) is
-    /// still resident in the buffers above, bit for bit.
-    prev_runnable: Vec<usize>,
-    prev_multipliers: Vec<u64>,
-    structure_valid: bool,
     instr_demands: Vec<f64>,
     rho: Vec<f64>,
     queue_delay: Vec<f64>,
@@ -610,7 +590,6 @@ fn run_multi_impl(
     let mut runnable: Vec<usize> = Vec::new();
     let mut group_remaining = vec![0.0_f64; n_groups];
     let mut pool_draw = vec![0.0_f64; n_groups];
-    let mut solver = equilibrium::IncrementalSolver::new();
     let mut stats = SimStats::default();
     // SoA image of the entity constants plus reusable per-segment
     // buffers, built once per run.
@@ -761,216 +740,186 @@ fn run_multi_impl(
         let mut full_middle = || -> CachedSegment {
             let scratch = &mut seg_scratch;
 
-            // Everything between here and the relaxation rounds is a
-            // pure function of (runnable set, multipliers): DVFS,
-            // spill, interference, capacities, and the demand bundles
-            // never read the relaxation warm start. When both match
-            // the previous *fully computed* middle bit for bit, those
-            // buffers still hold exactly the values a recompute would
-            // produce (memo replays touch none of them), so the whole
-            // prologue is skipped and only the rounds — whose warm
-            // start did change — run. This is the common shape of a
-            // memo miss: a steady structure whose rates are still
-            // converging. The naive loop never skips, so comparing the
-            // two modes checks the skip.
-            let structure_same = config.incremental
-                && scratch.structure_valid
-                && scratch.prev_runnable == runnable
-                && scratch
-                    .prev_multipliers
-                    .iter()
-                    .zip(&multipliers)
-                    .all(|(&p, m)| p == m.to_bits());
             let nk = runnable.len();
-            if !structure_same {
-                // DVFS point from the cores that are actually busy.
-                scratch.core_occupancy.clear();
-                scratch.core_occupancy.resize(spec.total_cores(), 0);
-                for &i in &runnable {
-                    scratch.core_occupancy[soa.core[i]] += 1;
-                }
-                scratch.active_cores.clear();
-                scratch.active_cores.resize(spec.sockets, 0);
-                for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
-                    if occ > 0 {
-                        scratch.active_cores[soa.core_home[c]] += 1;
-                    }
-                }
-                scratch.dvfs.compute_into(
-                    spec,
-                    &scratch.active_cores,
-                    inputs.turbo,
-                    inputs.fill_background,
-                );
 
-                // Cache spill per socket from resident working sets.
-                // Non-adaptive caches additionally thrash under many
-                // concurrent streams: spilled traffic is amplified with
-                // socket occupancy (conflict misses and dead-block
-                // re-fetches). Adaptive insertion policies suppress this
-                // — the paper's §2.2/§6.2 contrast.
-                scratch.socket_ws.clear();
-                scratch.socket_ws.resize(spec.sockets, 0.0);
-                scratch.socket_residents.clear();
-                scratch.socket_residents.resize(spec.sockets, 0);
-                for &i in &runnable {
-                    scratch.socket_ws[soa.socket[i]] += soa.working_set_mib[i];
-                    scratch.socket_residents[soa.socket[i]] += 1;
+            // DVFS point from the cores that are actually busy.
+            scratch.core_occupancy.clear();
+            scratch.core_occupancy.resize(spec.total_cores(), 0);
+            for &i in &runnable {
+                scratch.core_occupancy[soa.core[i]] += 1;
+            }
+            scratch.active_cores.clear();
+            scratch.active_cores.resize(spec.sockets, 0);
+            for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
+                if occ > 0 {
+                    scratch.active_cores[soa.core_home[c]] += 1;
                 }
-                scratch.spill_frac_socket.clear();
-                for s in 0..spec.sockets {
-                    let spill =
-                        spill_fraction(scratch.socket_ws[s], spec.l3_mib, spec.adaptive_llc);
-                    let thrash = if spec.adaptive_llc {
-                        1.0
-                    } else {
-                        1.0 + 0.35 * scratch.socket_residents[s].saturating_sub(1) as f64
-                            / spec.cores_per_socket as f64
-                    };
-                    scratch.spill_frac_socket.push(spill * thrash);
-                }
+            }
+            scratch.dvfs.compute_into(
+                spec,
+                &scratch.active_cores,
+                inputs.turbo,
+                inputs.fill_background,
+            );
 
-                // Latency interference from co-resident bursting peers,
-                // walked per core: only SMT-shared cores produce
-                // interference, and within a core the member list keeps
-                // ascending runnable order, so each thread accumulates
-                // its siblings' terms in runnable order.
-                scratch.interference.clear();
-                scratch.interference.resize(runnable.len(), 0.0);
-                if spec.smt_burst_collision > 0.0 {
-                    scratch.core_members.resize_with(spec.total_cores(), Vec::new);
-                    for list in &mut scratch.core_members {
-                        list.clear();
-                    }
-                    for (k, &i) in runnable.iter().enumerate() {
-                        scratch.core_members[soa.core[i]].push(k);
-                    }
-                    for members in &scratch.core_members {
-                        if members.len() < 2 {
-                            continue;
-                        }
-                        for &k in members {
-                            for &k2 in members {
-                                if k2 != k {
-                                    scratch.interference[k] += (multipliers[k2] - 1.0).max(0.0)
-                                        * spec.smt_burst_collision;
-                                }
-                            }
-                        }
-                    }
-                }
+            // Cache spill per socket from resident working sets.
+            // Non-adaptive caches additionally thrash under many
+            // concurrent streams: spilled traffic is amplified with
+            // socket occupancy (conflict misses and dead-block
+            // re-fetches). Adaptive insertion policies suppress this
+            // — the paper's §2.2/§6.2 contrast.
+            scratch.socket_ws.clear();
+            scratch.socket_ws.resize(spec.sockets, 0.0);
+            scratch.socket_residents.clear();
+            scratch.socket_residents.resize(spec.sockets, 0);
+            for &i in &runnable {
+                scratch.socket_ws[soa.socket[i]] += soa.working_set_mib[i];
+                scratch.socket_residents[soa.socket[i]] += 1;
+            }
+            scratch.spill_frac_socket.clear();
+            for s in 0..spec.sockets {
+                let spill =
+                    spill_fraction(scratch.socket_ws[s], spec.l3_mib, spec.adaptive_llc);
+                let thrash = if spec.adaptive_llc {
+                    1.0
+                } else {
+                    1.0 + 0.35 * scratch.socket_residents[s].saturating_sub(1) as f64
+                        / spec.cores_per_socket as f64
+                };
+                scratch.spill_frac_socket.push(spill * thrash);
+            }
 
-                // Capacities for this segment: one memcpy of the nominal
-                // table, then DVFS/SMT scaling of occupied cores only. An
-                // idle core's pools carry no demand this segment, so
-                // leaving them nominal cannot move the solve.
-                capacities[..soa.base_caps.len()].copy_from_slice(&soa.base_caps);
-                for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
-                    if occ == 0 {
-                        continue;
-                    }
-                    let scale = scratch.dvfs.socket_scale[soa.core_home[c]];
-                    let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
-                    let issue = table.core_issue(CoreId(c));
-                    capacities[issue.0] = table.get(issue).capacity * scale * smt;
-                    let l1 = table.l1(CoreId(c));
-                    capacities[l1.0] = table.get(l1).capacity * scale;
-                    let l2 = table.l2(CoreId(c));
-                    capacities[l2.0] = table.get(l2).capacity * scale;
-                }
-                for g in 0..n_groups {
-                    capacities[lock_base + g] = 1.0;
-                }
-
-                // Build demand bundles (burst- and spill-adjusted) into
-                // reused slots: the sparse buffers from previous segments
-                // are cleared and refilled, never reallocated.
-                demands.truncate(runnable.len());
-                scratch.instr_demands.clear();
-                for (k, &i) in runnable.iter().enumerate() {
-                    let m = multipliers[k];
-                    let spill_frac = scratch.spill_frac_socket[soa.socket[i]];
-                    let extra_dram = soa.d_l3[i] * spill_frac;
-                    if k == demands.len() {
-                        // lint: allow(H2): first-touch slot growth; every later segment reuses the slot's buffer
-                        demands.push(EntityDemand { demands: Vec::with_capacity(10), max_rate: 1.0 });
-                    }
-                    let slot = &mut demands[k];
-                    slot.max_rate = 1.0;
-                    let sparse = &mut slot.demands;
-                    sparse.clear();
-                    push_demand(sparse, soa.res_issue[i], soa.d_instr[i] * m);
-                    push_demand(sparse, soa.res_l1[i], soa.d_l1[i] * m);
-                    push_demand(sparse, soa.res_l2[i], soa.d_l2[i] * m);
-                    if soa.d_l3[i] > 0.0 {
-                        push_demand(sparse, soa.res_l3_link[i], soa.d_l3[i] * m);
-                        push_demand(sparse, soa.res_l3_agg[i], soa.d_l3[i] * m);
-                    }
-                    let dram_total = (soa.d_dram[i] + extra_dram) * m;
-                    if dram_total > 0.0 {
-                        for node in 0..spec.sockets {
-                            let frac = soa.dram_split[i * spec.sockets + node];
-                            if frac <= 0.0 {
-                                continue;
-                            }
-                            push_demand(sparse, soa.res_dram[node], dram_total * frac);
-                            if node != soa.socket[i] {
-                                if let Some(link) = soa.res_link[soa.socket[i] * spec.sockets + node]
-                                {
-                                    push_demand(sparse, link, dram_total * frac);
-                                }
-                            }
-                        }
-                    }
-                    if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
-                        sparse.push((lock_base + soa.group[i], soa.seq_fraction[i]));
-                    }
-                    scratch.instr_demands.push(soa.d_instr[i] * m);
-                }
-
-                // Communication constants per runnable thread, hoisted out
-                // of the relaxation rounds: the `comm_factor · latency`
-                // products are fixed for the segment (two per thread, for
-                // same- and cross-socket peers — the same two multiplies
-                // the per-pair form performs, in the same order), and the
-                // same-group worker lists bound each thread's peer scan to
-                // its actual peers in ascending runnable order.
-                scratch.cf_lat_intra.clear();
-                scratch.cf_lat_cross.clear();
-                for &i in &runnable {
-                    let cf = soa.comm_factor[i];
-                    scratch
-                        .cf_lat_intra
-                        .push(cf * (soa.intra_socket_comm[i] * spec.interconnect_latency));
-                    scratch.cf_lat_cross.push(cf * (1.0 * spec.interconnect_latency));
-                }
-                scratch.group_members.resize_with(n_groups, Vec::new);
-                for list in &mut scratch.group_members {
+            // Latency interference from co-resident bursting peers,
+            // walked per core: only SMT-shared cores produce
+            // interference, and within a core the member list keeps
+            // ascending runnable order, so each thread accumulates
+            // its siblings' terms in runnable order.
+            scratch.interference.clear();
+            scratch.interference.resize(runnable.len(), 0.0);
+            if spec.smt_burst_collision > 0.0 {
+                scratch.core_members.resize_with(spec.total_cores(), Vec::new);
+                for list in &mut scratch.core_members {
                     list.clear();
                 }
                 for (k, &i) in runnable.iter().enumerate() {
-                    if soa.is_worker[i] {
-                        scratch.group_members[soa.group[i]].push(k);
+                    scratch.core_members[soa.core[i]].push(k);
+                }
+                for members in &scratch.core_members {
+                    if members.len() < 2 {
+                        continue;
+                    }
+                    for &k in members {
+                        for &k2 in members {
+                            if k2 != k {
+                                scratch.interference[k] += (multipliers[k2] - 1.0).max(0.0)
+                                    * spec.smt_burst_collision;
+                            }
+                        }
                     }
                 }
+            }
 
-                // Snapshot the structural inputs so the next full middle
-                // can recognise an unchanged prologue.
-                scratch.prev_runnable.clear();
-                scratch.prev_runnable.extend_from_slice(&runnable);
-                scratch.prev_multipliers.clear();
-                scratch.prev_multipliers.extend(multipliers.iter().map(|m| m.to_bits()));
-                scratch.structure_valid = true;
+            // Capacities for this segment: one memcpy of the nominal
+            // table, then DVFS/SMT scaling of occupied cores only. An
+            // idle core's pools carry no demand this segment, so
+            // leaving them nominal cannot move the solve.
+            capacities[..soa.base_caps.len()].copy_from_slice(&soa.base_caps);
+            for (c, &occ) in scratch.core_occupancy.iter().enumerate() {
+                if occ == 0 {
+                    continue;
+                }
+                let scale = scratch.dvfs.socket_scale[soa.core_home[c]];
+                let smt = if occ >= 2 { spec.smt_frontend_factor } else { 1.0 };
+                let issue = table.core_issue(CoreId(c));
+                capacities[issue.0] = table.get(issue).capacity * scale * smt;
+                let l1 = table.l1(CoreId(c));
+                capacities[l1.0] = table.get(l1).capacity * scale;
+                let l2 = table.l2(CoreId(c));
+                capacities[l2.0] = table.get(l2).capacity * scale;
+            }
+            for g in 0..n_groups {
+                capacities[lock_base + g] = 1.0;
+            }
+
+            // Build demand bundles (burst- and spill-adjusted) into
+            // reused slots: the sparse buffers from previous segments
+            // are cleared and refilled, never reallocated.
+            demands.truncate(runnable.len());
+            scratch.instr_demands.clear();
+            for (k, &i) in runnable.iter().enumerate() {
+                let m = multipliers[k];
+                let spill_frac = scratch.spill_frac_socket[soa.socket[i]];
+                let extra_dram = soa.d_l3[i] * spill_frac;
+                if k == demands.len() {
+                    // lint: allow(H2): first-touch slot growth; every later segment reuses the slot's buffer
+                    demands.push(EntityDemand { demands: Vec::with_capacity(10), max_rate: 1.0 });
+                }
+                let slot = &mut demands[k];
+                slot.max_rate = 1.0;
+                let sparse = &mut slot.demands;
+                sparse.clear();
+                push_demand(sparse, soa.res_issue[i], soa.d_instr[i] * m);
+                push_demand(sparse, soa.res_l1[i], soa.d_l1[i] * m);
+                push_demand(sparse, soa.res_l2[i], soa.d_l2[i] * m);
+                if soa.d_l3[i] > 0.0 {
+                    push_demand(sparse, soa.res_l3_link[i], soa.d_l3[i] * m);
+                    push_demand(sparse, soa.res_l3_agg[i], soa.d_l3[i] * m);
+                }
+                let dram_total = (soa.d_dram[i] + extra_dram) * m;
+                if dram_total > 0.0 {
+                    for node in 0..spec.sockets {
+                        let frac = soa.dram_split[i * spec.sockets + node];
+                        if frac <= 0.0 {
+                            continue;
+                        }
+                        push_demand(sparse, soa.res_dram[node], dram_total * frac);
+                        if node != soa.socket[i] {
+                            if let Some(link) = soa.res_link[soa.socket[i] * spec.sockets + node]
+                            {
+                                push_demand(sparse, link, dram_total * frac);
+                            }
+                        }
+                    }
+                }
+                if soa.is_worker[i] && soa.seq_fraction[i] > 0.0 {
+                    sparse.push((lock_base + soa.group[i], soa.seq_fraction[i]));
+                }
+                scratch.instr_demands.push(soa.d_instr[i] * m);
+            }
+
+            // Communication constants per runnable thread, hoisted out
+            // of the relaxation rounds: the `comm_factor · latency`
+            // products are fixed for the segment (two per thread, for
+            // same- and cross-socket peers — the same two multiplies
+            // the per-pair form performs, in the same order), and the
+            // same-group worker lists bound each thread's peer scan to
+            // its actual peers in ascending runnable order.
+            scratch.cf_lat_intra.clear();
+            scratch.cf_lat_cross.clear();
+            for &i in &runnable {
+                let cf = soa.comm_factor[i];
+                scratch
+                    .cf_lat_intra
+                    .push(cf * (soa.intra_socket_comm[i] * spec.interconnect_latency));
+                scratch.cf_lat_cross.push(cf * (1.0 * spec.interconnect_latency));
+            }
+            scratch.group_members.resize_with(n_groups, Vec::new);
+            for list in &mut scratch.group_members {
+                list.clear();
+            }
+            for (k, &i) in runnable.iter().enumerate() {
+                if soa.is_worker[i] {
+                    scratch.group_members[soa.group[i]].push(k);
+                }
             }
 
             // Relaxation rounds: lock queueing + communication latency
-            // feed back into intrinsic rates. The round buffers live
-            // in the scratch; the solver's result is copied out, so a
-            // steady segment stream performs no per-round allocation.
+            // feed back into intrinsic rates. Each round's solve result
+            // becomes the next round's warm start.
             scratch.round_rates.clear();
             scratch.round_rates.extend(runnable.iter().map(|&i| prev_rates[i]));
             scratch.last_loads.clear();
-            for round in 0..config.relaxation_rounds {
+            for _ in 0..config.relaxation_rounds {
                 scratch.rho.clear();
                 scratch.rho.resize(n_groups, 0.0);
                 for (k, &i) in runnable.iter().enumerate() {
@@ -1040,27 +989,10 @@ fn run_multi_impl(
                     };
                     demands[k].max_rate = max_rate;
                 }
-                // The naive loop solves from scratch. The incremental
-                // path re-primes the solver on this segment's demand
-                // bundles in round 0; later rounds rewrite only the rate
-                // caps, so the prefix walk's outcome is known and
-                // skipped. An unchanged structure extends that to round
-                // 0 too: the solver's last call already holds these
-                // exact bundles.
-                let from_scratch;
-                let alloc = if !config.incremental {
-                    stats.solves += 1;
-                    from_scratch = equilibrium::solve(&demands, &capacities);
-                    &from_scratch
-                } else if round == 0 && !structure_same {
-                    solver.solve(&demands, &capacities)
-                } else {
-                    solver.solve_same_demands(&demands, &capacities)
-                };
-                scratch.round_rates.clear();
-                scratch.round_rates.extend_from_slice(&alloc.rates);
-                scratch.last_loads.clear();
-                scratch.last_loads.extend_from_slice(&alloc.loads);
+                stats.solves += 1;
+                let alloc = equilibrium::solve(&demands, &capacities);
+                scratch.round_rates = alloc.rates;
+                scratch.last_loads = alloc.loads;
             }
 
             let mut group_rate = vec![0.0_f64; n_groups];
@@ -1244,11 +1176,7 @@ fn run_multi_impl(
         segment += 1;
     }
 
-    let solver_stats = solver.stats();
     stats.segments = segment as u64;
-    stats.solves += solver_stats.solves + solver_stats.delta_solves;
-    stats.solves_skipped += solver_stats.solves_skipped;
-    stats.solves_batched += solver_stats.prefix_solves;
 
     // Aggregate telemetry once per run, outside the segment loop, so the
     // hot path carries no per-segment instrumentation.
@@ -1256,8 +1184,6 @@ fn run_multi_impl(
         pandia_obs::count("sim.segments", segment as u64);
         pandia_obs::count("sim.segments_coalesced", stats.segments_coalesced);
         pandia_obs::count("sim.solves", stats.solves);
-        pandia_obs::count("sim.solves_skipped", stats.solves_skipped);
-        pandia_obs::count("sim.solves_batched", stats.solves_batched);
         pandia_obs::observe("sim.segments_per_run", segment as f64);
         pandia_obs::observe("sim.entities_per_run", entities.len() as f64);
     }
@@ -1925,7 +1851,7 @@ mod tests {
     }
 
     #[test]
-    fn steady_runs_coalesce_segments_and_skip_solves() {
+    fn steady_runs_coalesce_segments() {
         let spec = MachineSpec::x3_2();
         let b = Behavior::compute("steady", 60.0, 1.0);
         let p = Placement::spread(&spec, 4).unwrap();
@@ -1944,7 +1870,6 @@ mod tests {
             stats.segments_coalesced > stats.segments / 2,
             "smooth run should mostly coalesce: {stats:?}"
         );
-        assert!(stats.solves_skipped > 0, "relaxation re-solves should hit the cache: {stats:?}");
 
         // The escape hatch really disables the fast path.
         let (_, naive) = run_multi_stats(
@@ -1953,7 +1878,6 @@ mod tests {
         )
         .expect("run");
         assert_eq!(naive.segments_coalesced, 0);
-        assert_eq!(naive.solves_skipped, 0);
         assert_eq!(naive.segments, stats.segments, "segment count must not change");
     }
 

@@ -23,7 +23,7 @@ pub struct EntityDemand {
 }
 
 /// Result of an equilibrium solve.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Allocation {
     /// Progress rate per entity, same order as the input.
     pub rates: Vec<f64>,
@@ -103,504 +103,6 @@ pub fn solve(entities: &[EntityDemand], capacities: &[f64]) -> Allocation {
         }
     }
     Allocation { rates, loads }
-}
-
-/// Counters kept by an [`IncrementalSolver`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Progressive-filling solves built from scratch (no reusable prefix).
-    pub solves: u64,
-    /// Calls answered from the cached allocation (inputs bitwise equal to
-    /// the previous call).
-    pub solves_skipped: u64,
-    /// Warm-started re-solves: a *proper* prefix of the previous call's
-    /// entity stack was reused (the rest was rewound and rebuilt), e.g. a
-    /// finished thread dropping out or a burst phase flipping mid-list.
-    pub delta_solves: u64,
-    /// Re-solves whose entire pristine state was reused: every entity's
-    /// demand bundle was bitwise unchanged and only intrinsic rate caps
-    /// moved (the engine's second relaxation round, and steady segments
-    /// whose warm start shifted). The contributor lists and slopes are
-    /// shared outright and only the filling loop runs.
-    pub prefix_solves: u64,
-}
-
-/// The pristine (pre-iteration) contributor state for a *stack* of
-/// entities, with an undo log so the stack can be rewound to any prefix
-/// and re-extended bit-exactly.
-///
-/// A pool's slope is accumulated left to right as entities are pushed —
-/// the same addition sequence [`solve`]'s from-scratch `ordered` sum
-/// performs — and every push records the pool's previous slope bits, so a
-/// pop restores exactly the value the shorter prefix had. This is what
-/// makes prefix reuse *bit-identical* to a rebuild rather than merely
-/// close: reused slopes are the very bits a recomputation would produce.
-///
-/// Every buffer is retained across calls and refilled in place, so a long
-/// solve sequence settles into zero steady-state allocation — the solver
-/// sits two calls deep in the engine's per-segment hot loop and cannot
-/// afford to rebuild this state on the heap millions of times.
-#[derive(Debug, Default)]
-struct PrefixState {
-    /// Entity storage; only the first `depth` entries are live. Slots are
-    /// reused on re-push so inner demand vectors keep their capacity.
-    entities: Vec<EntityDemand>,
-    /// Live stack depth.
-    depth: usize,
-    /// Entity indices with positive max rate, ascending.
-    active: Vec<usize>,
-    /// Per-pool `(entity, demand)` contributor lists in entity order.
-    contrib: Vec<Vec<(usize, f64)>>,
-    /// Per-pool contributor count, kept equal to `contrib[r].len()`. The
-    /// filling loop seeds its touched-pool list and live counters from
-    /// this dense array instead of walking `m` vector headers per call.
-    live: Vec<u32>,
-    /// Per-pool slope: the running left-to-right sum of its contributors.
-    slope: Vec<f64>,
-    /// Undo log: `(pool, slope bits before this contributor was added)`.
-    undo_pools: Vec<(usize, u64)>,
-    /// One frame per pushed entity: `(undo_pools length at push, whether
-    /// the entity joined the active list)`.
-    undo_frames: Vec<(usize, bool)>,
-}
-
-/// Whether two entities build the same pristine contributor state: the
-/// demand bundles are bitwise equal and the entity is active (positive
-/// max rate) in both. The *value* of a positive max rate only matters to
-/// the filling loop, which always reads it fresh — so a prefix whose rate
-/// caps moved is still fully reusable.
-fn prefix_compatible(a: &EntityDemand, b: &EntityDemand) -> bool {
-    if (a.max_rate > 0.0) != (b.max_rate > 0.0) || a.demands.len() != b.demands.len() {
-        return false;
-    }
-    // Accumulate without short-circuiting: the compare sits on the
-    // solver's every-call path where bundles are short and usually equal,
-    // so a branchless sweep beats a per-element exit.
-    let mut eq = true;
-    for (&(ra, da), &(rb, db)) in a.demands.iter().zip(&b.demands) {
-        eq &= (ra == rb) & (da.to_bits() == db.to_bits());
-    }
-    eq
-}
-
-impl PrefixState {
-    /// Drops everything and re-dimensions the per-pool buffers for `m`
-    /// pools (a changed pool count invalidates every contributor index).
-    fn reset_pools(&mut self, m: usize) {
-        self.depth = 0;
-        self.active.clear();
-        self.undo_pools.clear();
-        self.undo_frames.clear();
-        for list in &mut self.contrib {
-            list.clear();
-        }
-        self.contrib.resize_with(m, Vec::new);
-        self.live.clear();
-        self.live.resize(m, 0);
-        self.slope.clear();
-        self.slope.resize(m, 0.0);
-    }
-
-    /// Pops entities until only the first `to` remain, restoring every
-    /// touched pool's slope to its recorded bits.
-    fn rewind(&mut self, to: usize) {
-        while self.depth > to {
-            // One undo frame exists per live entity, so the pop cannot
-            // miss while depth is positive; exhaustion just stops early.
-            let Some((start, was_active)) = self.undo_frames.pop() else {
-                break;
-            };
-            for &(r, bits) in self.undo_pools[start..].iter().rev() {
-                self.contrib[r].pop();
-                self.live[r] -= 1;
-                self.slope[r] = f64::from_bits(bits);
-            }
-            self.undo_pools.truncate(start);
-            if was_active {
-                self.active.pop();
-            }
-            self.depth -= 1;
-        }
-    }
-
-    /// Pushes one entity onto the stack, extending the contributor lists
-    /// and running slopes and journaling the overwritten slope bits.
-    fn push(&mut self, e: &EntityDemand) {
-        let idx = self.depth;
-        let start = self.undo_pools.len();
-        let is_active = e.max_rate > 0.0;
-        if is_active {
-            self.active.push(idx);
-            for &(r, d) in &e.demands {
-                self.undo_pools.push((r, self.slope[r].to_bits()));
-                self.contrib[r].push((idx, d));
-                self.live[r] += 1;
-                self.slope[r] += d;
-            }
-        }
-        self.undo_frames.push((start, is_active));
-        if let Some(slot) = self.entities.get_mut(idx) {
-            slot.max_rate = e.max_rate;
-            slot.demands.clear();
-            slot.demands.extend_from_slice(&e.demands);
-        } else {
-            // lint: allow(H2): first-use growth only; steady state reuses the slot
-            self.entities.push(e.clone());
-        }
-        self.depth += 1;
-    }
-}
-
-/// Reusable working memory for [`fill_pristine`].
-#[derive(Debug, Default)]
-struct FillScratch {
-    active: Vec<usize>,
-    slope: Vec<f64>,
-    residual: Vec<f64>,
-    saturated: Vec<bool>,
-    frozen: Vec<bool>,
-    newly_frozen: Vec<usize>,
-    dirty: Vec<usize>,
-    /// Pools with at least one contributor, ascending. Every other pool's
-    /// slope is exactly 0.0 for the whole fill, so the per-round scans
-    /// visit only this list instead of all `m` pools.
-    touched: Vec<usize>,
-    /// Per-entity flag: the entity places positive demand on some pool
-    /// that has saturated. Saturation is monotone within a fill, so the
-    /// flag is set once — when the pool saturates, from its contributor
-    /// list — and the freeze check reads one bool instead of re-scanning
-    /// the entity's demand bundle every round.
-    touch_sat: Vec<bool>,
-    /// Unfrozen contributors remaining per pool. When it reaches zero the
-    /// pool's slope is the empty filtered sum — exactly `0.0`, forever —
-    /// so the pool is dropped from `touched` and the per-round scans keep
-    /// shrinking as the fill freezes entities.
-    contrib_live: Vec<u32>,
-    /// Dense copy of the entities' rate caps: the per-round headroom scan
-    /// and the freeze check read one packed `f64` array instead of
-    /// striding across 32-byte `EntityDemand` records.
-    maxr: Vec<f64>,
-    /// Per-pool membership flag for the `dirty` list, so adding a pool is
-    /// one bool test instead of a linear `contains` scan.
-    dirty_flag: Vec<bool>,
-}
-
-/// A [`solve`] wrapper that reuses work across consecutive calls.
-///
-/// Four paths, all returning allocations **bit-identical** to [`solve`]
-/// on the same inputs:
-///
-/// * *skip* — the demand and capacity vectors are bitwise equal to the
-///   previous call's: the cached allocation is returned outright;
-/// * *prefix* — every demand bundle is bitwise unchanged and only rate
-///   caps (and possibly capacities) moved: the whole pristine contributor
-///   state is reused and just the filling loop runs;
-/// * *delta* — the new entity list shares a proper leading prefix with
-///   the previous one (a finished thread, a flipped burst phase): the
-///   stack is rewound to the shared prefix — restoring the journaled
-///   slope bits — and only the suffix is re-pushed;
-/// * *full* — no shared prefix: the state is rebuilt from scratch.
-///
-/// Bit identity holds because every shortcut performs (or restores the
-/// result of) the *same ordered arithmetic* the from-scratch solve would:
-/// a pool's slope is a left-to-right sum over its contributors in entity
-/// order, pushes extend that sum in order, and pops restore the exact
-/// prior bits — IEEE arithmetic is deterministic, so a reused value is
-/// the value the recomputation would produce.
-#[derive(Debug, Default)]
-pub struct IncrementalSolver {
-    /// Whether `prefix`/`allocation` hold the previous call's inputs and
-    /// result.
-    primed: bool,
-    prefix: PrefixState,
-    capacities: Vec<f64>,
-    allocation: Allocation,
-    scratch: FillScratch,
-    stats: SolveStats,
-}
-
-impl IncrementalSolver {
-    /// Creates a solver with an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counters accumulated since construction.
-    pub fn stats(&self) -> SolveStats {
-        self.stats
-    }
-
-    /// Solves the max-min fair allocation, reusing the previous call's
-    /// work where the inputs allow. Bit-identical to [`solve`]; the
-    /// returned reference is valid until the next call (the engine's hot
-    /// loop copies the rates out, so nothing is cloned per solve).
-    pub fn solve(&mut self, entities: &[EntityDemand], capacities: &[f64]) -> &Allocation {
-        if capacities.len() != self.prefix.slope.len() {
-            self.prefix.reset_pools(capacities.len());
-        }
-        // One walk serves both the skip check and the prefix length:
-        // `entity_eq` is exactly `prefix_compatible` plus rate-cap bit
-        // equality, so tracking the caps alongside the prefix scan avoids
-        // a second full comparison on the (common) reuse paths.
-        let bound = self.prefix.depth.min(entities.len());
-        let mut lcp = 0;
-        let mut caps_match = true;
-        while lcp < bound {
-            let (prev, cur) = (&self.prefix.entities[lcp], &entities[lcp]);
-            if !prefix_compatible(prev, cur) {
-                caps_match = false;
-                break;
-            }
-            caps_match &= prev.max_rate.to_bits() == cur.max_rate.to_bits();
-            lcp += 1;
-        }
-        if self.primed
-            && caps_match
-            && lcp == entities.len()
-            && self.prefix.depth == entities.len()
-            && bits_eq(&self.capacities, capacities)
-        {
-            self.stats.solves_skipped += 1;
-            return &self.allocation;
-        }
-        if self.primed && lcp == entities.len() && self.prefix.depth == entities.len() {
-            self.stats.prefix_solves += 1;
-        } else if self.primed && lcp > 0 {
-            self.stats.delta_solves += 1;
-        } else {
-            self.stats.solves += 1;
-        }
-        self.refill(entities, capacities, lcp)
-    }
-
-    /// [`Self::solve`] for callers that *know* every demand bundle is
-    /// bitwise unchanged since the previous call on this solver — the
-    /// engine's relaxation rounds, which rewrite only the rate caps
-    /// between solves. Skips the per-entity prefix walk (its outcome is
-    /// known: full compatibility) but classifies the call exactly as
-    /// [`Self::solve`] would — `solves_skipped` when the caps and
-    /// capacities are also bit-equal, `prefix_solves` otherwise — so the
-    /// counters reconcile across paths. Debug builds verify the caller's
-    /// contract in full.
-    pub fn solve_same_demands(
-        &mut self,
-        entities: &[EntityDemand],
-        capacities: &[f64],
-    ) -> &Allocation {
-        debug_assert!(self.primed);
-        debug_assert_eq!(self.prefix.depth, entities.len());
-        debug_assert_eq!(self.prefix.slope.len(), capacities.len());
-        debug_assert!(self
-            .prefix
-            .entities
-            .iter()
-            .zip(entities)
-            .all(|(prev, cur)| prefix_compatible(prev, cur)));
-        let caps_match = self
-            .prefix
-            .entities
-            .iter()
-            .zip(entities)
-            .all(|(prev, cur)| prev.max_rate.to_bits() == cur.max_rate.to_bits());
-        if caps_match && bits_eq(&self.capacities, capacities) {
-            self.stats.solves_skipped += 1;
-            return &self.allocation;
-        }
-        self.stats.prefix_solves += 1;
-        self.refill(entities, capacities, entities.len())
-    }
-
-    /// Rewinds the stack to its first `lcp` entities, pushes the rest of
-    /// `entities`, stores the new inputs and runs the filling loop.
-    fn refill(
-        &mut self,
-        entities: &[EntityDemand],
-        capacities: &[f64],
-        lcp: usize,
-    ) -> &Allocation {
-        self.prefix.rewind(lcp);
-        for e in &entities[lcp..] {
-            self.prefix.push(e);
-        }
-        // Refresh the stored rate caps: the pristine state ignores their
-        // values, but the skip check needs the exact bits.
-        for (slot, src) in self.prefix.entities.iter_mut().zip(entities) {
-            slot.max_rate = src.max_rate;
-        }
-        self.capacities.clear();
-        self.capacities.extend_from_slice(capacities);
-        fill_pristine(
-            entities,
-            capacities,
-            &self.prefix.active,
-            &self.prefix.contrib,
-            &self.prefix.live,
-            &self.prefix.slope,
-            &mut self.scratch,
-            &mut self.allocation,
-        );
-        self.primed = true;
-        &self.allocation
-    }
-}
-
-/// Bitwise equality of two capacity vectors.
-fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Left-to-right sum of a contributor list skipping frozen entities: the
-/// same addition sequence [`solve`] performs after those contributors
-/// drop out, so the reused value is bit-exact without mutating the
-/// pristine list.
-fn frozen_filtered_sum(contrib: &[(usize, f64)], frozen: &[bool]) -> f64 {
-    let mut s = 0.0;
-    for &(e, d) in contrib {
-        if !frozen[e] {
-            s += d;
-        }
-    }
-    s
-}
-
-/// The progressive-filling loop over a pre-built contributor state.
-///
-/// Mirrors [`solve`] exactly, except that a pool's slope is only
-/// re-summed when one of its contributors froze in the previous round
-/// (the "dirty" pools); an untouched pool's slope is the same ordered sum
-/// [`solve`] would recompute, so reusing it is bit-exact. The pristine
-/// contributor lists are read-only — frozen entities are skipped via a
-/// flag vector rather than removed — and all working memory lives in the
-/// caller-owned scratch, so the loop performs no allocation beyond
-/// first-use buffer growth.
-#[allow(clippy::too_many_arguments)] // the pristine state's parallel arrays are deliberate SoA
-fn fill_pristine(
-    entities: &[EntityDemand],
-    capacities: &[f64],
-    pristine_active: &[usize],
-    contrib: &[Vec<(usize, f64)>],
-    pristine_live: &[u32],
-    pristine_slope: &[f64],
-    scratch: &mut FillScratch,
-    out: &mut Allocation,
-) {
-    let n = entities.len();
-    let m = capacities.len();
-    out.rates.clear();
-    out.rates.resize(n, 0.0);
-    out.loads.clear();
-    out.loads.resize(m, 0.0);
-    if n == 0 {
-        return;
-    }
-    let rates = &mut out.rates;
-    let s = scratch;
-    s.active.clear();
-    s.active.extend_from_slice(pristine_active);
-    s.slope.clear();
-    s.slope.extend_from_slice(pristine_slope);
-    s.residual.clear();
-    s.residual.extend_from_slice(capacities);
-    s.saturated.clear();
-    s.saturated.resize(m, false);
-    s.frozen.clear();
-    s.frozen.resize(n, false);
-    s.touch_sat.clear();
-    s.touch_sat.resize(n, false);
-    // A pool without contributors keeps slope exactly 0.0 all fill long
-    // (pushes only touch demanded pools, re-sums only dirty ones), so the
-    // per-round scans below can skip it — same `sl > 0.0` guard, same
-    // ascending order, same arithmetic on the pools that do run.
-    s.touched.clear();
-    s.touched.extend((0..m).filter(|&r| pristine_live[r] > 0));
-    s.contrib_live.clear();
-    s.contrib_live.extend_from_slice(pristine_live);
-    s.maxr.clear();
-    s.maxr.extend(entities.iter().map(|e| e.max_rate));
-    s.dirty_flag.clear();
-    s.dirty_flag.resize(m, false);
-
-    while !s.active.is_empty() {
-        let mut delta = f64::INFINITY;
-        for &r in &s.touched {
-            let sl = s.slope[r];
-            if sl > 0.0 {
-                delta = delta.min(s.residual[r].max(0.0) / sl);
-            }
-        }
-        for &e in &s.active {
-            delta = delta.min(s.maxr[e] - rates[e]);
-        }
-        if !delta.is_finite() {
-            break;
-        }
-        let delta = delta.max(0.0);
-        for &e in &s.active {
-            rates[e] += delta;
-        }
-        for &r in &s.touched {
-            let sl = s.slope[r];
-            if sl > 0.0 {
-                s.residual[r] -= sl * delta;
-                if s.residual[r] <= 1e-9 * capacities[r].max(1.0) {
-                    s.residual[r] = s.residual[r].max(0.0);
-                    // First saturation of this pool: flag every entity
-                    // that places positive demand here. The contributor
-                    // list holds exactly the active entities' demand
-                    // entries for the pool, so the flag equals the
-                    // `any(d > 0.0 && saturated[r])` scan [`solve`]
-                    // performs — computed once instead of every round.
-                    if !s.saturated[r] {
-                        s.saturated[r] = true;
-                        for &(e, d) in &contrib[r] {
-                            if d > 0.0 {
-                                s.touch_sat[e] = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        s.newly_frozen.clear();
-        let (maxr, touch_sat, newly_frozen) = (&s.maxr, &s.touch_sat, &mut s.newly_frozen);
-        s.active.retain(|&e| {
-            let keep = if rates[e] >= maxr[e] - 1e-12 { false } else { !touch_sat[e] };
-            if !keep {
-                newly_frozen.push(e);
-            }
-            keep
-        });
-        if !s.newly_frozen.is_empty() {
-            s.dirty.clear();
-            for &e in &s.newly_frozen {
-                s.frozen[e] = true;
-                for &(r, _) in &entities[e].demands {
-                    s.contrib_live[r] -= 1;
-                    if !s.dirty_flag[r] {
-                        s.dirty_flag[r] = true;
-                        s.dirty.push(r);
-                    }
-                }
-            }
-            for &r in &s.dirty {
-                s.dirty_flag[r] = false;
-                s.slope[r] = frozen_filtered_sum(&contrib[r], &s.frozen);
-            }
-            // Drop pools with no unfrozen contributors left: their slope
-            // is exactly 0.0 from here on (the empty filtered sum), so
-            // the scans above would skip them anyway — and entities never
-            // un-freeze, so the drop is permanent. Ascending order is
-            // preserved; the surviving pools see identical arithmetic.
-            let live = &s.contrib_live;
-            s.touched.retain(|&r| live[r] > 0);
-        }
-    }
-
-    for (e, ent) in entities.iter().enumerate() {
-        for &(r, d) in &ent.demands {
-            out.loads[r] += rates[e] * d;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -37,9 +37,8 @@ impl SimConfig {
         self
     }
 
-    /// Returns this configuration with the engine's incremental fast path
-    /// (solve reuse, segment coalescing, structure skip) toggled. On by
-    /// default; off runs the naive loop, the reference the fast path is
+    /// Returns this configuration with the engine's segment memo toggled.
+    /// On by default; off runs the naive loop, the reference the memo is
     /// tested against.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.engine.incremental = incremental;
@@ -120,7 +119,7 @@ impl SimMachine {
 
     /// Runs several workloads concurrently, additionally returning the
     /// engine's [`crate::engine::SimStats`] so callers can assert on the
-    /// incremental fast path (solve reuse, segment coalescing) directly.
+    /// segment memo and the solve count directly.
     pub fn run_multi_stats(
         &mut self,
         req: &MultiRunRequest<Behavior>,

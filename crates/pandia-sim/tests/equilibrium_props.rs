@@ -1,12 +1,11 @@
-//! Property suite for the max-min fair equilibrium solver and its
-//! incremental wrapper.
+//! Property suite for the max-min fair equilibrium solver.
 //!
 //! The build environment is offline, so instead of proptest these tests
 //! drive randomized demand/capacity vectors from a small deterministic
 //! splitmix64 generator: every case is reproducible from its printed
 //! seed.
 
-use pandia_sim::equilibrium::{solve, Allocation, EntityDemand, IncrementalSolver};
+use pandia_sim::equilibrium::{solve, EntityDemand};
 
 const CASES: u64 = 48;
 
@@ -55,25 +54,6 @@ fn random_instance(rng: &mut Rng) -> (Vec<EntityDemand>, Vec<f64>) {
         })
         .collect();
     (entities, capacities)
-}
-
-fn assert_bits_eq(a: &Allocation, b: &Allocation, what: &str, seed: u64) {
-    assert_eq!(a.rates.len(), b.rates.len(), "{what}: rate lengths (seed {seed})");
-    assert_eq!(a.loads.len(), b.loads.len(), "{what}: load lengths (seed {seed})");
-    for (k, (x, y)) in a.rates.iter().zip(&b.rates).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: rate {k} differs, {x} vs {y} (seed {seed})"
-        );
-    }
-    for (r, (x, y)) in a.loads.iter().zip(&b.loads).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: load {r} differs, {x} vs {y} (seed {seed})"
-        );
-    }
 }
 
 #[test]
@@ -155,208 +135,5 @@ fn added_demand_never_raises_other_rates() {
                 "entity {e} sped up from {old} to {new} after contention grew (seed {seed})"
             );
         }
-    }
-}
-
-#[test]
-fn incremental_matches_from_scratch_bitwise() {
-    // The three solver paths — cold, cache hit, and repeated single-entity
-    // removal (a thread finishing every step) — must all reproduce the
-    // naive solve bit for bit.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let (mut entities, capacities) = random_instance(&mut rng);
-        let mut solver = IncrementalSolver::new();
-
-        let cold = solver.solve(&entities, &capacities).clone();
-        assert_bits_eq(&cold, &solve(&entities, &capacities), "cold", seed);
-        let hit = solver.solve(&entities, &capacities).clone();
-        assert_bits_eq(&hit, &cold, "cache hit", seed);
-
-        while !entities.is_empty() {
-            let victim = rng.usize_in(0, entities.len() - 1);
-            entities.remove(victim);
-            let warm = solver.solve(&entities, &capacities);
-            assert_bits_eq(warm, &solve(&entities, &capacities), "delta", seed);
-        }
-        let stats = solver.stats();
-        assert_eq!(stats.solves_skipped, 1, "one exact repeat per case: {stats:?}");
-        assert!(stats.delta_solves > 0 || stats.solves > 1, "deltas never exercised: {stats:?}");
-    }
-}
-
-/// Asserts that one [`IncrementalSolver`] fed `candidates` in order
-/// answers each bitwise as the independent from-scratch solve, whatever
-/// state the previous candidates left behind.
-fn assert_batch_matches_independent(
-    candidates: &[Vec<EntityDemand>],
-    capacities: &[f64],
-    what: &str,
-    seed: u64,
-) {
-    let mut solver = IncrementalSolver::new();
-    for (c, cand) in candidates.iter().enumerate() {
-        let got = solver.solve(cand, capacities);
-        assert_bits_eq(got, &solve(cand, capacities), &format!("{what} candidate {c}"), seed);
-    }
-}
-
-#[test]
-fn batched_solves_match_independent_when_all_candidates_share() {
-    // All-share: every candidate has the same demand bundles and only the
-    // rate caps move — the pure prefix fan-out case. One contributor
-    // build must serve the whole batch without changing a single bit.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let (base, capacities) = random_instance(&mut rng);
-        let candidates: Vec<Vec<EntityDemand>> = (0..5)
-            .map(|_| {
-                base.iter()
-                    .map(|e| EntityDemand {
-                        demands: e.demands.clone(),
-                        max_rate: rng.f64_in(0.1, 3.0),
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_batch_matches_independent(&candidates, &capacities, "all-share", seed);
-    }
-}
-
-#[test]
-fn batched_solves_match_independent_when_no_candidates_share() {
-    // None-share: unrelated instances back to back. The batch degenerates
-    // to from-scratch solves and must still be exact.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let n_pools = rng.usize_in(2, 8);
-        let capacities: Vec<f64> = (0..n_pools).map(|_| rng.f64_in(0.5, 20.0)).collect();
-        let candidates: Vec<Vec<EntityDemand>> = (0..5)
-            .map(|_| {
-                (0..rng.usize_in(1, 8))
-                    .map(|_| {
-                        let touched = rng.usize_in(1, n_pools);
-                        let mut demands = Vec::with_capacity(touched);
-                        for _ in 0..touched {
-                            demands.push((rng.usize_in(0, n_pools - 1), rng.f64_in(0.05, 6.0)));
-                        }
-                        EntityDemand { demands, max_rate: rng.f64_in(0.1, 3.0) }
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_batch_matches_independent(&candidates, &capacities, "none-share", seed);
-    }
-}
-
-#[test]
-fn batched_solves_match_independent_on_nested_prefixes() {
-    // Nested prefixes: candidate k is the first k+1 entities of a common
-    // list, swept longest → shortest → longest so the batch exercises
-    // rewinds (journaled slope bits restored) and re-pushes in both
-    // directions.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let (base, capacities) = random_instance(&mut rng);
-        let mut candidates: Vec<Vec<EntityDemand>> =
-            (0..base.len()).rev().map(|k| base[..=k].to_vec()).collect();
-        candidates.extend((0..base.len()).map(|k| base[..=k].to_vec()));
-        assert_batch_matches_independent(&candidates, &capacities, "nested", seed);
-    }
-}
-
-#[test]
-fn batched_prefix_reuse_survives_capacity_changes() {
-    // The pristine contributor state is independent of capacities, so a
-    // batch whose candidates share demands but see different capacity
-    // vectors must still fan one prefix build across all of them.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let (base, capacities) = random_instance(&mut rng);
-        let mut solver = IncrementalSolver::new();
-        for step in 0..4 {
-            let caps: Vec<f64> = capacities.iter().map(|c| c * (1.0 + 0.1 * step as f64)).collect();
-            let got = solver.solve(&base, &caps);
-            assert_bits_eq(got, &solve(&base, &caps), "capacity sweep", seed);
-        }
-        let stats = solver.stats();
-        assert_eq!(stats.solves, 1, "only the first call builds state: {stats:?}");
-        assert_eq!(
-            stats.prefix_solves, 3,
-            "capacity-only changes must ride the batched path: {stats:?}"
-        );
-    }
-}
-
-#[test]
-fn incremental_survives_interleaved_input_changes() {
-    // Alternating between two unrelated instances (as the engine's two
-    // relaxation rounds do) must never poison the cache.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let (a_entities, a_caps) = random_instance(&mut rng);
-        let (b_entities, b_caps) = random_instance(&mut rng);
-        let mut solver = IncrementalSolver::new();
-        for _ in 0..3 {
-            let a = solver.solve(&a_entities, &a_caps);
-            assert_bits_eq(a, &solve(&a_entities, &a_caps), "interleaved a", seed);
-            let b = solver.solve(&b_entities, &b_caps);
-            assert_bits_eq(b, &solve(&b_entities, &b_caps), "interleaved b", seed);
-        }
-    }
-}
-
-#[test]
-fn same_demand_solves_match_from_scratch_and_classify_like_solve() {
-    // The engine's relaxation rounds keep every demand bundle fixed and
-    // move only rate caps and capacities between solves, through
-    // `solve_same_demands`. Each answer must be bitwise the from-scratch
-    // solve, and each call must land in the counter bucket a plain
-    // `solve` would pick: `solves_skipped` for an exact repeat,
-    // `prefix_solves` otherwise.
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let (mut entities, mut capacities) = random_instance(&mut rng);
-        // An inactive entity (zero rate cap) keeps its class throughout,
-        // as the caller's contract requires.
-        if rng.usize_in(0, 2) == 0 {
-            let idle = rng.usize_in(0, entities.len() - 1);
-            entities[idle].max_rate = 0.0;
-        }
-        let mut same = IncrementalSolver::new();
-        let mut plain = IncrementalSolver::new();
-        same.solve(&entities, &capacities);
-        plain.solve(&entities, &capacities);
-        let (mut repeats, mut moves) = (0, 0);
-        for step in 0..8 {
-            let what = format!("same-demand step {step}");
-            let before: Vec<f64> =
-                entities.iter().map(|e| e.max_rate).chain(capacities.iter().copied()).collect();
-            if rng.usize_in(0, 2) > 0 {
-                for e in entities.iter_mut().filter(|e| e.max_rate > 0.0) {
-                    e.max_rate = rng.f64_in(0.1, 3.0);
-                }
-            }
-            if rng.usize_in(0, 2) == 0 {
-                for c in &mut capacities {
-                    *c = rng.f64_in(0.5, 20.0);
-                }
-            }
-            let after = entities.iter().map(|e| e.max_rate).chain(capacities.iter().copied());
-            if before.iter().zip(after).all(|(x, y)| x.to_bits() == y.to_bits()) {
-                repeats += 1;
-            } else {
-                moves += 1;
-            }
-            let want = solve(&entities, &capacities);
-            assert_bits_eq(same.solve_same_demands(&entities, &capacities), &want, &what, seed);
-            assert_bits_eq(plain.solve(&entities, &capacities), &want, &what, seed);
-        }
-        let stats = same.stats();
-        assert_eq!(stats, plain.stats(), "counters must classify like solve (seed {seed})");
-        assert_eq!(stats.solves, 1, "only the priming call builds state: {stats:?}");
-        assert_eq!(stats.delta_solves, 0, "bundles never move: {stats:?}");
-        assert_eq!(stats.solves_skipped, repeats, "exact repeats skip: {stats:?}");
-        assert_eq!(stats.prefix_solves, moves, "moved caps reuse the prefix: {stats:?}");
     }
 }
